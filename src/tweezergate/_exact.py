@@ -33,59 +33,87 @@ CONFIG_S = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 # ---------------------------------------------------------------------------
-# closed-form oscillatory moments
+# closed-form oscillatory moments, elementwise over broadcast arrays
 
-def _int0(th, t1, t2):
+_SMALL = 1e-8  # |theta (t2 - t1)| below which the expansions replace 1/theta
+
+
+def int0(th, t1, t2):
     """int_t1^t2 exp(i th t) dt"""
-    x = th * (t2 - t1)
-    if abs(x) < 1e-8:
-        return (t2 - t1) * np.exp(1j * th * 0.5 * (t1 + t2))
-    return (np.exp(1j * th * t2) - np.exp(1j * th * t1)) / (1j * th)
+    th, t1, t2 = np.broadcast_arrays(th, t1, t2)
+    small = np.abs(th * (t2 - t1)) < _SMALL
+    out = np.asarray((np.exp(1j * (th * t2)) - np.exp(1j * (th * t1)))
+                     / (1j * np.where(small, 1.0, th)))
+    if small.any():
+        th, t1, t2 = th[small], t1[small], t2[small]
+        out[small] = (t2 - t1) * np.exp(1j * th * 0.5 * (t1 + t2))
+    return out
 
 
-def _int1(th, t1, t2, tc):
+def int1(th, t1, t2, tc):
     """int_t1^t2 (t-tc) exp(i th t) dt"""
-    if abs(th * (t2 - t1)) < 1e-8:
+    th, t1, t2, tc = np.broadcast_arrays(th, t1, t2, tc)
+    small = np.abs(th * (t2 - t1)) < _SMALL
+    ith = 1j * np.where(small, 1.0, th)
+    e2, e1 = np.exp(1j * (th * t2)), np.exp(1j * (th * t1))
+    out = np.asarray(((t2 - tc) * e2 - (t1 - tc) * e1) / ith
+                     - (e2 - e1) / ith ** 2)
+    if small.any():
         # linearize the exponential about tc; adequate at this threshold
+        th, t1, t2, tc = th[small], t1[small], t2[small], tc[small]
         e = np.exp(1j * th * tc)
         a, b = t1 - tc, t2 - tc
-        return e * (0.5 * (b * b - a * a) + 1j * th * (b ** 3 - a ** 3) / 3.0)
-    e2, e1 = np.exp(1j * th * t2), np.exp(1j * th * t1)
-    return ((t2 - tc) * e2 - (t1 - tc) * e1) / (1j * th) \
-        - (e2 - e1) / (1j * th) ** 2
+        out[small] = e * (0.5 * (b * b - a * a)
+                          + 1j * th * (b ** 3 - a ** 3) / 3.0)
+    return out
 
 
-def _intJ(tha, thb, t1, t2):
+def int_j(tha, thb, t1, t2):
     """int_{t1}^{t2} ds e^{i tha s} int_{t1}^{s} ds' e^{i thb s'}"""
-    if abs(thb * (t2 - t1)) < 1e-8:
+    small = np.abs(thb * (t2 - t1)) < _SMALL
+    out = np.asarray((int0(tha + thb, t1, t2)
+                      - np.exp(1j * (thb * t1)) * int0(tha, t1, t2))
+                     / (1j * np.where(small, 1.0, thb)))
+    small = np.broadcast_to(small, out.shape)
+    if small.any():
         # inner integral ~ (s - t1) e^{i thb (s+t1)/2}; drops O(thb^2)
-        return _int1(tha + 0.5 * thb, t1, t2, t1) * np.exp(0.5j * thb * t1)
-    return (_int0(tha + thb, t1, t2)
-            - np.exp(1j * thb * t1) * _int0(tha, t1, t2)) / (1j * thb)
+        tha, thb, t1, t2 = (np.broadcast_to(x, out.shape)[small]
+                            for x in (tha, thb, t1, t2))
+        out[small] = int1(tha + 0.5 * thb, t1, t2, t1) \
+            * np.exp(0.5j * thb * t1)
+    return out
 
 
 class Coef:
-    """Sum of beta * exp(i theta t) pieces."""
+    """Coefficient functions c_k(t) = sum_p beta[k, p] exp(i theta[p] t).
 
-    __slots__ = ("pieces",)
+    All coefficients k of one entry share the piece frequencies theta;
+    leading axes of beta and theta batch independent entries (envelope
+    segments).
+    """
 
-    def __init__(self, pieces):
-        self.pieces = [(b, th) for b, th in pieces if b != 0.0]
+    __slots__ = ("beta", "theta")
+
+    def __init__(self, beta, theta):
+        self.beta = np.asarray(beta, complex)
+        self.theta = np.asarray(theta, float)
 
     def m0(self, t1, t2):
-        return sum(b * _int0(th, t1, t2) for b, th in self.pieces)
+        """int_t1^t2 c_k(t) dt for every k; t1, t2 broadcast against the
+        batch axes."""
+        i0 = int0(self.theta, np.asarray(t1)[..., None],
+                  np.asarray(t2)[..., None])
+        return (self.beta @ i0[..., None])[..., 0]
 
-    def val(self, t):
-        return sum(b * np.exp(1j * th * t) for b, th in self.pieces)
 
-
-def double_moment(ck, cl, t1, t2):
-    """J_kl = int int_{s' < s} c_k(s) c_l(s') ds' ds"""
-    tot = 0.0 + 0.0j
-    for bk, thk in ck.pieces:
-        for bl, thl in cl.pieces:
-            tot += bk * bl * _intJ(thk, thl, t1, t2)
-    return tot
+def double_moment(coef, t1, t2):
+    """J[..., k, l] = int int_{s' < s} c_k(s) c_l(s') ds' ds over [t1, t2],
+    for every pair of coefficients of each batch entry."""
+    th = coef.theta
+    t1 = np.asarray(t1)[..., None, None]
+    t2 = np.asarray(t2)[..., None, None]
+    ij = int_j(th[..., :, None], th[..., None, :], t1, t2)
+    return coef.beta @ ij @ np.swapaxes(coef.beta, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,72 +165,48 @@ def xcom_pieces(ws, wt, o, bcom):
 
     The Heisenberg evolution of x_drive(s) = sum_m bcom[m] x_m(s) under the
     static quadratic part mixes position and momentum of every bare mode;
-    projecting back gives, per bare mode n, the coefficient pieces of a_n
-    (pa[n]) and a_n^dag (pad[n]) as lists of (beta, theta) in the elapsed
-    time s.
+    projecting back gives the coefficient pieces of a_1..a_N and
+    a^dag_1..a^dag_N in the elapsed time s: (beta, theta) with beta[2N, 2N]
+    and the shared frequencies theta = (-wt_0, wt_0, -wt_1, wt_1, ...).
     """
     n_modes = len(ws)
     sw = np.sqrt(np.asarray(ws, float))
-    pa = [[] for _ in range(n_modes)]
-    pad = [[] for _ in range(n_modes)]
     proj = np.asarray(bcom, float) * sw  # drive weight in y = x sqrt(w)
-    for n in range(n_modes):
-        for k in range(n_modes):
-            cmk = float(proj @ o[:, k])
-            c1 = cmk * o[n, k] / sw[n]
-            c2 = cmk * o[n, k] * sw[n] / wt[k]
-            pa[n].append((0.5 * (c1 + c2), -wt[k]))
-            pa[n].append((0.5 * (c1 - c2), wt[k]))
-            pad[n].append((0.5 * (c1 - c2), -wt[k]))
-            pad[n].append((0.5 * (c1 + c2), wt[k]))
-    return pa, pad
-
-
-def drive_coefs(segkind, t_a, tau, tr, mu, gamma, ws, wt, o, bcom):
-    """Per-mode Coef lists (a_n, a_n^dag) on one envelope segment.
-
-    Time is absolute; the dressed-frame pieces run in s = t - t_a, folded in
-    as constant phases exp(-i theta t_a).
-    """
-    env = env_pieces(segkind, tr, t_a, tau)
-    half = [(gamma, mu), (gamma, -mu)]  # 2 gamma cos(mu t)
-    base = [(be * bh, the + thh) for be, the in env for bh, thh in half]
-    pa, pad = xcom_pieces(ws, wt, o, bcom)
-    coefs_a, coefs_ad = [], []
-    for n in range(len(ws)):
-        ca = [(bb * bx * np.exp(-1j * thx * t_a), thb + thx)
-              for bb, thb in base for bx, thx in pa[n]]
-        cad = [(bb * bx * np.exp(-1j * thx * t_a), thb + thx)
-               for bb, thb in base for bx, thx in pad[n]]
-        coefs_a.append(Coef(ca))
-        coefs_ad.append(Coef(cad))
-    return coefs_a, coefs_ad
+    cmo = (proj @ o) * o                 # cmo[n, k] = (proj . o_k) o[n, k]
+    c1 = cmo / sw[:, None]
+    c2 = cmo * sw[:, None] / wt
+    plus, minus = 0.5 * (c1 + c2), 0.5 * (c1 - c2)
+    beta = np.concatenate([np.stack([plus, minus], axis=-1),
+                           np.stack([minus, plus], axis=-1)])
+    theta = np.stack([-wt, wt], axis=-1).ravel()
+    return beta.reshape(2 * n_modes, -1), theta
 
 
 def static_heisenberg_map(ws, k_mat, dt, t_a, t_b):
     """Heisenberg action S of one static factor on xi = (a_n, a_n^dag):
     s^dag xi s = S xi for s = R(t_b) exp(-i H0 dt) R(t_a)^dag, R the bare
     rotation exp(+i sum w_m (n_m + 1/2) t)."""
-    n_modes = len(ws)
     wt, o = normal_form(ws, k_mat)
     sw = np.sqrt(np.asarray(ws, float))
     ct = np.cos(wt * dt)
     st = np.sin(wt * dt)
-    # position/momentum response summed over dressed branches
-    c = np.zeros((n_modes, n_modes))
-    s1 = np.zeros((n_modes, n_modes))
-    c2 = np.zeros((n_modes, n_modes))
-    s2 = np.zeros((n_modes, n_modes))
-    for m in range(n_modes):
-        for n in range(n_modes):
-            oo = o[m, :] * o[n, :]
-            c[m, n] = np.sum(oo * (sw[m] / sw[n]) * ct)
-            s1[m, n] = np.sum(oo * (sw[m] * sw[n]) / wt * st)
-            c2[m, n] = -np.sum(oo * wt / (sw[m] * sw[n]) * st)
-            s2[m, n] = np.sum(oo * (sw[n] / sw[m]) * ct)
+    # position/momentum response summed over dressed branches k:
+    # oo[m, n, k] = o[m, k] o[n, k]
+    oo = o[:, None, :] * o[None, :, :]
+    ratio = (sw[:, None] / sw[None, :])[..., None]   # sw[m] / sw[n]
+    prod = (sw[:, None] * sw[None, :])[..., None]
+    c = np.sum(oo * ratio * ct, axis=-1)
+    s1 = np.sum(oo * prod / wt * st, axis=-1)
+    c2 = -np.sum(oo * wt / prod * st, axis=-1)
+    s2 = np.sum(oo * np.swapaxes(ratio, 0, 1) * ct, axis=-1)
     a_blk = 0.5 * ((c + 1j * c2) - 1j * (s1 + 1j * s2))
     b_blk = 0.5 * ((c + 1j * c2) + 1j * (s1 + 1j * s2))
-    mg = np.block([[a_blk, b_blk], [b_blk.conj(), a_blk.conj()]])
+    n_modes = len(ws)
+    mg = np.empty((2 * n_modes, 2 * n_modes), dtype=complex)
+    mg[:n_modes, :n_modes] = a_blk
+    mg[:n_modes, n_modes:] = b_blk
+    mg[n_modes:, :n_modes] = b_blk.conj()
+    mg[n_modes:, n_modes:] = a_blk.conj()
     ws_arr = np.asarray(ws, float)
     lam_b = np.concatenate([np.exp(1j * ws_arr * t_b),
                             np.exp(-1j * ws_arr * t_b)])
@@ -284,40 +288,49 @@ def path_of(si, sj, echo_schedule, pulse_count):
 
 
 def pulse_segment_coefs(setup: SequenceSetup, k_mat, t_a):
-    """[(t1, t2, coefs_a, coefs_ad)] for the driven segments of one pulse."""
+    """(t1, t2, coef) for the driven segments of one pulse, batched over
+    the segments: coef rows are a_1..a_N, a^dag_1..a^dag_N.
+
+    Time is absolute; the dressed-frame pieces run in s = t - t_a, folded in
+    as constant phases exp(-i theta t_a).
+    """
     wt, o = normal_form(setup.ws, k_mat)
-    out = []
-    for segkind, t1s, t2s in segments(t_a, setup.tau, setup.ramp_time):
-        if t2s <= t1s:
-            continue
-        ca, cad = drive_coefs(segkind, t_a, setup.tau, setup.ramp_time,
-                              setup.mu, setup.gamma, setup.ws, wt, o,
-                              setup.bcom)
-        out.append((t1s, t2s, ca, cad))
-    return out
+    beta_x, theta_x = xcom_pieces(setup.ws, wt, o, setup.bcom)
+    segs = [(kind, t1, t2)
+            for kind, t1, t2 in segments(t_a, setup.tau, setup.ramp_time)
+            if t2 > t1]
+    # flat envelopes are padded with zero pieces to the ramps' three, so
+    # every segment (and every pulse of a sequence) stacks on one axis
+    n_env = 3 if setup.ramp_time > 0 else 1
+    beta_e = np.zeros((len(segs), n_env), dtype=complex)
+    theta_e = np.zeros((len(segs), n_env))
+    for s, (kind, _, _) in enumerate(segs):
+        pieces = env_pieces(kind, setup.ramp_time, t_a, setup.tau)
+        for e, (b, th) in enumerate(pieces):
+            beta_e[s, e], theta_e[s, e] = b, th
+    # times 2 gamma cos(mu t): each envelope piece splits into +mu and -mu
+    beta_b = np.repeat(beta_e * setup.gamma, 2, axis=1)
+    theta_b = (theta_e[:, :, None]
+               + np.array([setup.mu, -setup.mu])).reshape(len(segs), -1)
+    beta = ((beta_b[:, None, :, None] * beta_x[None, :, None, :])
+            * np.exp(-1j * theta_x * t_a))
+    theta = theta_b[:, :, None] + theta_x
+    return (np.array([t1 for _, t1, _ in segs]),
+            np.array([t2 for _, _, t2 in segs]),
+            Coef(beta.reshape(len(segs), len(beta_x), -1),
+                 theta.reshape(len(segs), -1)))
 
 
-def _segment_generator(t1, t2, coefs_a, coefs_ad):
-    """Displacement generator (v, phase) of one segment: the linear moment
-    plus the scalar second-order commutator phase (same-mode pairs only;
-    cross-mode ladder pairs commute)."""
-    n_modes = len(coefs_a)
-    v = np.zeros(2 * n_modes, dtype=complex)
-    phase = 0.0
-    for n in range(n_modes):
-        if coefs_a[n].pieces:
-            v[n] = coefs_a[n].m0(t1, t2)
-            v[n_modes + n] = coefs_ad[n].m0(t1, t2)
-            jkl = double_moment(coefs_a[n], coefs_ad[n], t1, t2)
-            jlk = double_moment(coefs_ad[n], coefs_a[n], t1, t2)
-            phase += np.real(-0.5j * (jkl - jlk))
-    return v, phase
-
-
-def pulse_generators(setup: SequenceSetup, k_mat, t_a):
-    """Displacement generators [(v, phase)] of one driven pulse, time order."""
-    return [_segment_generator(t1, t2, ca, cad)
-            for t1, t2, ca, cad in pulse_segment_coefs(setup, k_mat, t_a)]
+def segment_generators(t1, t2, coef):
+    """Displacement generators (v, phase) of a batch of segments: the linear
+    moment plus the scalar second-order commutator phase (same-mode pairs
+    only; cross-mode ladder pairs commute)."""
+    n = coef.beta.shape[-2] // 2
+    v = coef.m0(t1, t2)
+    j = double_moment(coef, t1, t2)
+    jkl = np.diagonal(j[..., :n, n:], axis1=-2, axis2=-1)
+    jlk = np.diagonal(j[..., n:, :n], axis1=-2, axis2=-1)
+    return v, np.sum(np.real(-0.5j * (jkl - jlk)), axis=-1)
 
 
 def config_generators(setup: SequenceSetup, si, sj):
@@ -327,23 +340,31 @@ def config_generators(setup: SequenceSetup, si, sj):
     Late generators are conjugated through the intervening static factors:
     their coefficient vectors transform with the transpose of the
     accumulated Heisenberg map, which is exactly how the field-free
-    reference cancels the statics.
+    reference cancels the statics.  The segments of all driven pulses are
+    evaluated in one batch.
     """
     path = path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-    gens = []
+    driven = []  # (t1, t2, coef, map of the statics before) per pulse
     t_map = None
     for p, cfg in enumerate(path):
         k_mat = setup.coupling(*cfg)
         if p in setup.field_pulses and setup.gamma != 0.0:
-            segs = pulse_generators(setup, k_mat, p * setup.tau)
-            if t_map is not None:
-                segs = [(t_map.T @ v, ph) for v, ph in segs]
-            gens.extend(segs)
+            driven.append(pulse_segment_coefs(setup, k_mat, p * setup.tau)
+                          + (t_map,))
         if p < len(path) - 1:
             s_p = static_heisenberg_map(setup.ws, k_mat, setup.tau,
                                         p * setup.tau, (p + 1) * setup.tau)
             t_map = s_p if t_map is None else s_p @ t_map
-    return gens
+    if not driven:
+        return []
+    t1s, t2s, coefs, maps = zip(*driven)
+    v, phase = segment_generators(
+        np.concatenate(t1s), np.concatenate(t2s),
+        Coef(np.concatenate([c.beta for c in coefs]),
+             np.concatenate([c.theta for c in coefs])))
+    seg_maps = [m for m, t1 in zip(maps, t1s) for _ in t1]
+    return [(vs if m is None else m.T @ vs, ph)
+            for vs, ph, m in zip(v, phase, seg_maps)]
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +469,9 @@ def dense_wmat(setup: SequenceSetup, dims, weights):
     return w, us
 
 
-def _sparse_ladders(dims):
-    ops = []
+def sparse_ladders(dims):
+    """Sparse (a_m, a_m^dag) operator lists on the product mode space."""
+    a_ops = []
     n = len(dims)
     for m, d in enumerate(dims):
         am = sp.diags(np.sqrt(np.arange(1, d)), 1, format="csr")
@@ -457,15 +479,15 @@ def _sparse_ladders(dims):
         for k in range(n):
             full = sp.kron(full, am if k == m else sp.identity(dims[k]),
                            format="csr")
-        ops.append(full.tocsr())
-    return ops
+        a_ops.append(full.tocsr())
+    return a_ops, [m.conj().T.tocsr() for m in a_ops]
 
 
-def column_u_rel(gens, dims, psi0):
-    """Apply the displacement product to one state column (sparse)."""
-    n = len(dims)
-    a_ops = _sparse_ladders(dims)
-    ad_ops = [m.conj().T.tocsr() for m in a_ops]
+def column_u_rel(gens, ladders, psi0):
+    """Apply the displacement product to one state column (sparse);
+    ladders is sparse_ladders(dims) of the mode space."""
+    a_ops, ad_ops = ladders
+    n = len(a_ops)
     psi = np.array(psi0, dtype=complex)
     for v, ph in gens:
         hx = None
@@ -488,13 +510,14 @@ def column_wmat(setup: SequenceSetup, dims, weights, weight_floor=0.0):
     if w_arr.shape != (dim,):
         raise ValueError("weight vector does not match the mode space")
     idx = np.where(w_arr > weight_floor)[0]
+    ladders = sparse_ladders(dims)
     cols = {c: [] for c in range(4)}
     for c, (si, sj) in enumerate(CONFIG_S):
         gens = config_generators(setup, si, sj)
         for i in idx:
             psi0 = np.zeros(dim, dtype=complex)
             psi0[i] = 1.0
-            cols[c].append(column_u_rel(gens, dims, psi0))
+            cols[c].append(column_u_rel(gens, ladders, psi0))
     w = np.zeros((4, 4), dtype=complex)
     for c in range(4):
         for cp in range(4):
@@ -552,38 +575,37 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
     t_map = None                       # statics before the current pulse
     s_ref = np.eye(2 * n, dtype=complex)  # statics of completed pulses
 
-    def mapped_partial(seg_coefs, t):
-        v = np.zeros(2 * n, dtype=complex)
-        for t1, t2, ca, cad in seg_coefs:
-            if t <= t1:
-                break
-            te = min(t, t2)
-            for mm in range(n):
-                if cad[mm].pieces:
-                    v[mm] += ca[mm].m0(t1, te)
-                    v[n + mm] += cad[mm].m0(t1, te)
+    def mapped_partial(seg_coefs, ts):
+        """Mapped linear moments from the pulse start to each time in ts;
+        a segment not begun by t integrates over zero length."""
+        v = np.zeros((len(ts), 2 * n), dtype=complex)
+        if seg_coefs is not None:
+            t1, t2, coef = seg_coefs
+            te = np.clip(ts[:, None], t1, t2)
+            v = v + coef.m0(t1, te).sum(axis=1)
         if t_map is not None:
-            v = t_map.T @ v
+            v = v @ t_map
         return v
 
     alpha = np.zeros(n, dtype=complex)
     for p, cfg in enumerate(path):
         k_mat = setup.coupling(*cfg)
         t_a = p * setup.tau
-        seg_coefs = []
+        seg_coefs = None
         if p in setup.field_pulses and setup.gamma != 0.0:
             seg_coefs = pulse_segment_coefs(setup, k_mat, t_a)
-        for k in range(1, samples_per_pulse + 1):
-            t = t_a + k * setup.tau / samples_per_pulse
-            w = mapped_partial(seg_coefs, t)
+        ts = t_a + np.arange(1, samples_per_pulse + 1) * setup.tau \
+            / samples_per_pulse
+        # moments at every sample and at the pulse end in one batch
+        w_all = mapped_partial(seg_coefs, np.append(ts, t_a + setup.tau))
+        for t, w in zip(ts.tolist(), w_all):
             a_t = alpha + (-1j) * w[n:]
             d = np.concatenate([a_t, np.conj(a_t)])
             s_t = static_heisenberg_map(setup.ws, k_mat, t - t_a, t_a, t)
             mt = (s_t @ s_ref) @ (m0 + d)
             times.append(t)
             means.append(mt[:n])
-        w = mapped_partial(seg_coefs, t_a + setup.tau)
-        alpha = alpha + (-1j) * w[n:]
+        alpha = alpha + (-1j) * w_all[-1, n:]
         s_p = static_heisenberg_map(setup.ws, k_mat, setup.tau, t_a,
                                     t_a + setup.tau)
         s_ref = s_p @ s_ref

@@ -273,54 +273,77 @@ def _cache_path(cache_dir: str, spec: SweepSpec, value: float):
     return os.path.join(cache_dir, key + ".json")
 
 
+def _read_cached(path: str):
+    """Report stored at path, or None when the entry is missing or
+    unreadable (a truncated or foreign file is a cache miss)."""
+    try:
+        with open(path) as fh:
+            return _report_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+def _write_cached(path: str, payload: dict):
+    """Store one finished point atomically: a temporary file in the cache
+    directory, renamed over the entry, so readers never see a partial one."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
     """Evaluate the sweep, one SweepPoint per grid value, in grid order.
 
     Points run independently (in a process pool when jobs > 1); a failing
     point carries its error without aborting the rest.  With cache_dir
-    set, finished points are stored as JSON keyed by their parameter hash
-    and later runs reuse them, so interrupted sweeps resume.
+    set, each point is stored as JSON keyed by its parameter hash as soon
+    as it finishes, and later runs reuse it, so interrupted sweeps resume.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    results: dict = {}
+    points: dict = {}
     pending = []
     for idx, value in enumerate(spec.grid):
         if cache_dir is not None:
             try:
                 path = _cache_path(cache_dir, spec, value)
             except Exception as exc:
-                results[idx] = (None, f"{type(exc).__name__}: {exc}")
+                points[idx] = SweepPoint(axis_value=value,
+                                         error=f"{type(exc).__name__}: {exc}")
                 continue
-            if os.path.exists(path):
-                with open(path) as fh:
-                    results[idx] = (json.load(fh), None)
+            report = _read_cached(path)
+            if report is not None:
+                points[idx] = SweepPoint(axis_value=value, report=report)
                 continue
         pending.append((idx, spec, value))
+
+    def finish(idx, payload, err):
+        value = spec.grid[idx]
+        if payload is None:
+            points[idx] = SweepPoint(axis_value=value, error=err)
+            return
+        if cache_dir is not None:
+            _write_cached(_cache_path(cache_dir, spec, value), payload)
+        points[idx] = SweepPoint(axis_value=value,
+                                 report=_report_from_dict(payload))
 
     if jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs) as pool:
-            outs = list(pool.map(_point_worker, pending))
+            futures = [pool.submit(_point_worker, args) for args in pending]
+            for fut in concurrent.futures.as_completed(futures):
+                finish(*fut.result())
     else:
-        outs = [_point_worker(args) for args in pending]
-    for idx, payload, err in outs:
-        results[idx] = (payload, err)
-        if payload is not None and cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            path = _cache_path(cache_dir, spec, spec.grid[idx])
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-
-    points = []
-    for idx, value in enumerate(spec.grid):
-        payload, err = results[idx]
-        if payload is None:
-            points.append(SweepPoint(axis_value=value, error=err))
-        else:
-            points.append(SweepPoint(axis_value=value,
-                                     report=_report_from_dict(payload)))
-    return points
+        for args in pending:
+            finish(*_point_worker(args))
+    return [points[idx] for idx in range(len(spec.grid))]
 
 
 def threshold_crossings(points, targets):

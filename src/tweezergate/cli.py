@@ -372,6 +372,9 @@ def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
     return [csv_path, json_path]
 
 
+# commands that run the ode backend and so read --tol
+_TOL_COMMANDS = ("gate", "phasespace")
+
 _COMMANDS = {
     "modes": cmd_modes,
     "phasespace": cmd_phasespace,
@@ -404,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, default=1,
                         help="worker processes for sweeps")
         sp.add_argument("--tol", type=float, default=None,
-                        help="integration tolerance for the ode backend")
+                        help="integration tolerance for the ode backend "
+                             "(gate and phasespace only)")
     return parser
 
 
@@ -418,6 +422,8 @@ def main(argv=None) -> int:
             raise ConfigError("--jobs must be >= 1")
         if args.tol is not None and not 1e-12 <= args.tol <= 1e-6:
             raise ConfigError("--tol must lie in [1e-12, 1e-6]")
+        if args.tol is not None and args.command not in _TOL_COMMANDS:
+            raise ConfigError("--tol applies only to gate and phasespace")
         if args.command != "modes":
             inputs.gate_config()  # physics validation before any file
         if args.command == "sweep":

@@ -213,6 +213,18 @@ class TestConfigErrors:
         assert cli.main(["gate", "--config", "fig2", "--tol", "1e-3",
                          "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command, preset", [
+        ("modes", "fig2"), ("sweep", "fig3_twomode"), ("table4", "table1")])
+    def test_tol_rejected_where_ignored(self, tmp_path, capsys, command,
+                                        preset):
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", preset, "--tol", "1e-9",
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: --tol applies only to gate and phasespace"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestGate:
     def test_report_values_and_hash(self, tmp_path):

@@ -354,12 +354,13 @@ class TestReconstructChannel:
         cfg, space = fig_point
         setup = _exact.setup_from_config(
             cfg, evolve.retained_modes(cfg, space))
+        ladders = _exact.sparse_ladders(space.mode_dims)
         cols = []
         for si, sj in _exact.CONFIG_S:
             gens = _exact.config_generators(setup, si, sj)
             psi0 = np.zeros(space.mode_dim, dtype=complex)
             psi0[0] = 1.0
-            cols.append(_exact.column_u_rel(gens, space.mode_dims, psi0))
+            cols.append(_exact.column_u_rel(gens, ladders, psi0))
         w = np.array([[np.vdot(cols[cp], cols[c]) for cp in range(4)]
                       for c in range(4)])
         np.testing.assert_allclose(fig_channel.overlaps, w, atol=1e-10)
