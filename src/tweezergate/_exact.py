@@ -16,7 +16,8 @@ xi = (a_1..a_N, a^dag_1..a^dag_N) cancels every static factor, leaving a
 pure product of displacements. Three equivalent materializations are
 provided: 'gaussian' (scalar displacement composition, exact, no Hilbert
 space), dense truncated operators, and sparse column propagation; plus an
-independent stepper that integrates the Schroedinger equation directly.
+independent check, ode_wmat, that integrates the driven pulses with the
+package's ODE solver (evolve.hamiltonian_terms, evolve._integrate).
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 # qubit configurations in basis order |00>, |01>, |10>, |11>; s = +1 for |1>
@@ -185,11 +185,17 @@ def xcom_pieces(ws, wt, o, bcom):
 def static_heisenberg_map(ws, k_mat, dt, t_a, t_b):
     """Heisenberg action S of one static factor on xi = (a_n, a_n^dag):
     s^dag xi s = S xi for s = R(t_b) exp(-i H0 dt) R(t_a)^dag, R the bare
-    rotation exp(+i sum w_m (n_m + 1/2) t)."""
+    rotation exp(+i sum w_m (n_m + 1/2) t).
+
+    dt and t_b broadcast against each other; the maps stack on their
+    leading axes (one diagonalization serves every dt)."""
     wt, o = normal_form(ws, k_mat)
     sw = np.sqrt(np.asarray(ws, float))
-    ct = np.cos(wt * dt)
-    st = np.sin(wt * dt)
+    dt, t_b = np.broadcast_arrays(np.asarray(dt, float),
+                                  np.asarray(t_b, float))
+    wdt = wt * dt[..., None, None, None]
+    ct = np.cos(wdt)
+    st = np.sin(wdt)
     # position/momentum response summed over dressed branches k:
     # oo[m, n, k] = o[m, k] o[n, k]
     oo = o[:, None, :] * o[None, :, :]
@@ -202,17 +208,17 @@ def static_heisenberg_map(ws, k_mat, dt, t_a, t_b):
     a_blk = 0.5 * ((c + 1j * c2) - 1j * (s1 + 1j * s2))
     b_blk = 0.5 * ((c + 1j * c2) + 1j * (s1 + 1j * s2))
     n_modes = len(ws)
-    mg = np.empty((2 * n_modes, 2 * n_modes), dtype=complex)
-    mg[:n_modes, :n_modes] = a_blk
-    mg[:n_modes, n_modes:] = b_blk
-    mg[n_modes:, :n_modes] = b_blk.conj()
-    mg[n_modes:, n_modes:] = a_blk.conj()
+    mg = np.empty(dt.shape + (2 * n_modes, 2 * n_modes), dtype=complex)
+    mg[..., :n_modes, :n_modes] = a_blk
+    mg[..., :n_modes, n_modes:] = b_blk
+    mg[..., n_modes:, :n_modes] = b_blk.conj()
+    mg[..., n_modes:, n_modes:] = a_blk.conj()
     ws_arr = np.asarray(ws, float)
-    lam_b = np.concatenate([np.exp(1j * ws_arr * t_b),
-                            np.exp(-1j * ws_arr * t_b)])
+    wtb = ws_arr * t_b[..., None]
+    lam_b = np.concatenate([np.exp(1j * wtb), np.exp(-1j * wtb)], axis=-1)
     lam_a = np.concatenate([np.exp(-1j * ws_arr * t_a),
                             np.exp(1j * ws_arr * t_a)])
-    return (lam_b[:, None] * mg) * lam_a[None, :]
+    return (lam_b[..., :, None] * mg) * lam_a
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +463,19 @@ def dense_wmat(setup: SequenceSetup, dims, weights):
     w_arr = np.asarray(weights, float)
     if w_arr.shape != (ops.dim,):
         raise ValueError("weight vector does not match the mode space")
-    us = []
-    for si, sj in CONFIG_S:
-        gens = config_generators(setup, si, sj)
-        us.append(dense_u_rel(gens, ops))
+    us = [dense_u_rel(config_generators(setup, si, sj), ops)
+          for si, sj in CONFIG_S]
+    return _thermal_wmat(us, w_arr), us
+
+
+def _thermal_wmat(us, weights):
+    """W[c, c'] = sum_n p_n <n|U_c'^dag U_c|n> of four mode propagators."""
     w = np.zeros((4, 4), dtype=complex)
     for c in range(4):
         for cp in range(4):
             diag = np.sum(np.conj(us[cp]) * us[c], axis=0)
-            w[c, cp] = np.sum(w_arr * diag)
-    return w, us
+            w[c, cp] = np.sum(weights * diag)
+    return w
 
 
 def sparse_ladders(dims):
@@ -596,18 +605,20 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
             seg_coefs = pulse_segment_coefs(setup, k_mat, t_a)
         ts = t_a + np.arange(1, samples_per_pulse + 1) * setup.tau \
             / samples_per_pulse
-        # moments at every sample and at the pulse end in one batch
-        w_all = mapped_partial(seg_coefs, np.append(ts, t_a + setup.tau))
-        for t, w in zip(ts.tolist(), w_all):
-            a_t = alpha + (-1j) * w[n:]
-            d = np.concatenate([a_t, np.conj(a_t)])
-            s_t = static_heisenberg_map(setup.ws, k_mat, t - t_a, t_a, t)
-            mt = (s_t @ s_ref) @ (m0 + d)
-            times.append(t)
-            means.append(mt[:n])
+        # moments and static maps at every sample and at the pulse end,
+        # each in one batch
+        t_all = np.append(ts, t_a + setup.tau)
+        w_all = mapped_partial(seg_coefs, t_all)
+        s_all = static_heisenberg_map(setup.ws, k_mat,
+                                      np.append(ts - t_a, setup.tau), t_a,
+                                      t_all)
+        a_t = alpha + (-1j) * w_all[:-1, n:]
+        d = np.concatenate([a_t, np.conj(a_t)], axis=-1)
+        mt = ((s_all[:-1] @ s_ref) @ (m0 + d)[..., None])[..., 0]
+        times.extend(ts.tolist())
+        means.extend(mt[:, :n])
         alpha = alpha + (-1j) * w_all[-1, n:]
-        s_p = static_heisenberg_map(setup.ws, k_mat, setup.tau, t_a,
-                                    t_a + setup.tau)
+        s_p = s_all[-1]
         s_ref = s_p @ s_ref
         t_map = s_p if t_map is None else s_p @ t_map
     return np.array(times), np.array(means)
@@ -615,71 +626,6 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
 
 # ---------------------------------------------------------------------------
 # direct integration backend
-
-def _pulse_terms(setup: SequenceSetup, k_mat, ops: ModeOps):
-    """Precompiled (amplitude, frequency, needs_envelope, matrix) terms of
-    the interaction-picture Hamiltonian during one pulse."""
-    n = setup.n_modes
-    ws = np.asarray(setup.ws, float)
-    terms = []
-    for m in range(n):
-        for nn in range(n):
-            cmn = 0.25 * k_mat[m, nn] / math.sqrt(ws[m] * ws[nn])
-            if cmn == 0.0:
-                continue
-            terms.append((cmn, -(ws[m] + ws[nn]), False,
-                          ops.a[m] @ ops.a[nn]))
-            terms.append((cmn, -(ws[m] - ws[nn]), False,
-                          ops.a[m] @ ops.ad[nn]))
-            terms.append((cmn, (ws[m] - ws[nn]), False,
-                          ops.ad[m] @ ops.a[nn]))
-            terms.append((cmn, (ws[m] + ws[nn]), False,
-                          ops.ad[m] @ ops.ad[nn]))
-    if setup.gamma != 0.0:
-        for m in range(n):
-            b = setup.bcom[m]
-            if b == 0.0:
-                continue
-            g = setup.gamma * b
-            terms.append((g, setup.mu - ws[m], True, ops.a[m]))
-            terms.append((g, -(setup.mu + ws[m]), True, ops.a[m]))
-            terms.append((g, setup.mu + ws[m], True, ops.ad[m]))
-            terms.append((g, -(setup.mu - ws[m]), True, ops.ad[m]))
-    return terms
-
-
-def _envelope_value(t_rel, tau, tr):
-    if t_rel < 0.0 or t_rel > tau:
-        return 0.0
-    if tr <= 0.0:
-        return 1.0
-    if t_rel < tr:
-        return math.sin(0.5 * math.pi * t_rel / tr) ** 2
-    if t_rel > tau - tr:
-        return math.sin(0.5 * math.pi * (tau - t_rel) / tr) ** 2
-    return 1.0
-
-
-def pulse_hamiltonian_factory(setup: SequenceSetup, k_mat, t_a, field_on,
-                              ops: ModeOps):
-    """Dense H(t) on the mode space for one pulse (absolute time)."""
-    terms = _pulse_terms(setup, k_mat, ops)
-    tau, tr = setup.tau, setup.ramp_time
-
-    def h_of_t(t: float) -> np.ndarray:
-        f = _envelope_value(t - t_a, tau, tr) if field_on else 0.0
-        h = np.zeros((ops.dim, ops.dim), dtype=complex)
-        for amp, th, needs_env, mat in terms:
-            coef = amp * np.exp(1j * th * t)
-            if needs_env:
-                if f == 0.0:
-                    continue
-                coef *= f
-            h += coef * mat
-        return h
-
-    return h_of_t
-
 
 def static_reference(setup: SequenceSetup, k_mat, t_a, ops: ModeOps):
     """Exact bare-frame propagator of one field-free pulse."""
@@ -708,51 +654,37 @@ def static_reference(setup: SequenceSetup, k_mat, t_a, ops: ModeOps):
     return u
 
 
-def ode_config_propagators(setup: SequenceSetup, si, sj, dims, rtol=1e-9,
-                           max_step=None):
-    """(U_full, U_ref) for one qubit configuration by direct integration of
-    the driven pulses; field-free factors are applied in closed form."""
+def ode_wmat(setup: SequenceSetup, dims, weights, rtol=1e-9, max_step=None):
+    """Channel matrix with the driven pulses integrated directly.
+
+    The four qubit configurations are the blocks of one matrix-valued ODE
+    per driven pulse (evolve.hamiltonian_terms, block c following
+    configuration c's spin path); field-free pulses are applied in closed
+    form. Returns (W, us) with us[c] the reference-relative propagator.
+    """
+    from . import evolve as _evolve
+
     ops = ModeOps(dims)
-    path = path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+             for si, sj in CONFIG_S]
     if max_step is None:
         max_step = (2.0 * math.pi / setup.mu) / 20.0
-    u_full = np.eye(ops.dim, dtype=complex)
-    u_ref = np.eye(ops.dim, dtype=complex)
-    for p, cfg in enumerate(path):
-        k_mat = setup.coupling(*cfg)
+    eye = np.eye(ops.dim, dtype=complex)
+    u_full = np.array([eye] * 4)
+    u_ref = np.array([eye] * 4)
+    for p in range(setup.pulse_count):
+        cfgs = [path[p] for path in paths]
         t_a = p * setup.tau
-        u_stat = static_reference(setup, k_mat, t_a, ops)
+        u_stat = np.array([static_reference(setup, setup.coupling(*cfg), t_a,
+                                            ops) for cfg in cfgs])
         u_ref = u_stat @ u_ref
         if p in setup.field_pulses and setup.gamma != 0.0:
-            h_t = pulse_hamiltonian_factory(setup, k_mat, t_a, True, ops)
-
-            def rhs(t, y):
-                u = y.reshape(ops.dim, ops.dim)
-                return (-1j * h_t(t) @ u).ravel()
-
-            sol = solve_ivp(rhs, (t_a, t_a + setup.tau),
-                            np.eye(ops.dim, dtype=complex).ravel(),
-                            method="DOP853", rtol=rtol, atol=1e-12,
-                            max_step=max_step)
-            if not sol.success:
-                raise RuntimeError("pulse integration failed: " + sol.message)
-            u_full = sol.y[:, -1].reshape(ops.dim, ops.dim) @ u_full
+            h = _evolve.hamiltonian_terms(setup, dims, cfgs)
+            u_pulse = _evolve._integrate(
+                h.stacked(t_a), np.vstack([eye] * 4), t_a, t_a + setup.tau,
+                rtol, max_step, atol=1e-12)
+            u_full = u_pulse.reshape(4, ops.dim, ops.dim) @ u_full
         else:
             u_full = u_stat @ u_full
-    return u_full, u_ref
-
-
-def ode_wmat(setup: SequenceSetup, dims, weights, rtol=1e-9, max_step=None):
-    """Channel matrix with the driven pulses integrated directly."""
-    w_arr = np.asarray(weights, float)
-    us = []
-    for si, sj in CONFIG_S:
-        u_full, u_ref = ode_config_propagators(setup, si, sj, dims,
-                                               rtol=rtol, max_step=max_step)
-        us.append(u_ref.conj().T @ u_full)
-    w = np.zeros((4, 4), dtype=complex)
-    for c in range(4):
-        for cp in range(4):
-            diag = np.sum(np.conj(us[cp]) * us[c], axis=0)
-            w[c, cp] = np.sum(w_arr * diag)
-    return w, us
+    us = list(np.conj(np.swapaxes(u_ref, 1, 2)) @ u_full)
+    return _thermal_wmat(us, np.asarray(weights, float)), us

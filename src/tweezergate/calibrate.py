@@ -196,10 +196,18 @@ def corrected_drive_frequency(trap: crystal.TrapSpec, pair,
     return trap.axial_frequency - offset
 
 
+# Version of the numbers behind a cached report; part of the cache key, so
+# raise it whenever a change moves any backend's results. 2: the ODE
+# backend integrates the four qubit configurations as one stacked system.
+ENGINE_VERSION = 2
+
+
 def config_hash(config: drive.GateConfig, nbar, cutoffs,
                 backend: str) -> str:
-    """Canonical hash of one fidelity evaluation's full parameter set."""
+    """Canonical hash of one fidelity evaluation's full parameter set and
+    the engine version."""
     payload = {
+        "engine_version": ENGINE_VERSION,
         "n_ions": int(config.trap.n_ions),
         "ion_mass_kg": float(config.trap.ion_mass),
         "axial_frequency_rad_s": float(config.trap.axial_frequency),

@@ -133,17 +133,22 @@ def envelope(t, pulse: int, config: GateConfig):
     pulse, flat top, mirrored fall. t is measured from the pulse start.
     Returns 0 for pulses with the field off and outside [0, pulse_duration]."""
     tau = config.pulse_duration
-    t = np.asarray(t, dtype=float)
     if not config.field_on_mask[pulse]:
+        t = np.asarray(t, dtype=float)
         return np.zeros_like(t) if t.ndim else 0.0
-    tr = config.ramp_fraction * tau
-    inside = (t >= 0.0) & (t <= tau)
-    if tr == 0.0:
-        out = np.where(inside, 1.0, 0.0)
-        return out if t.ndim else float(out)
-    up = np.sin(0.5 * np.pi * np.clip(t / tr, 0.0, 1.0)) ** 2
-    down = np.sin(0.5 * np.pi * np.clip((tau - t) / tr, 0.0, 1.0)) ** 2
-    out = np.where(inside, np.minimum(up, down), 0.0)
+    return ramp_envelope(t, tau, config.ramp_fraction * tau)
+
+
+def ramp_envelope(t, tau, ramp_time):
+    """sin^2 rise over ramp_time, flat top, mirrored fall, for a pulse
+    spanning [0, tau]; 0 outside it. A scalar t gives a float."""
+    t = np.asarray(t, dtype=float)
+    edge = np.minimum(t, tau - t)  # time to the nearer pulse edge
+    if ramp_time == 0.0:
+        shape = 1.0
+    else:
+        shape = np.sin(0.5 * np.pi * np.minimum(edge / ramp_time, 1.0)) ** 2
+    out = np.where(edge >= 0.0, shape, 0.0)
     return out if t.ndim else float(out)
 
 

@@ -6,12 +6,17 @@ H = 0 stays constant. run_gate offers two backends: "gaussian" composes
 the exact displaced-oscillator factors and returns the final state in the
 field-free reference frame of each qubit configuration (the same frame the
 channel reconstruction uses); "ode" integrates the literal time-dependent
-Hamiltonian and returns the full interaction-picture state.
+Hamiltonian and returns the full interaction-picture state. The
+Hamiltonian is diagonal in the qubits, so the ODE state is the stack of
+the four qubit configurations' mode-space blocks, evolved by one compiled
+right-hand side (CompiledHamiltonian); _integrate is the package's one
+ODE solver call.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import scipy.integrate
@@ -22,23 +27,34 @@ from . import _exact, crystal, drive, hilbert
 _TOL_RANGE = (1e-12, 1e-6)
 
 
-def _integrate(hamiltonian, state, t0, t1, tol, max_step, dense_output=False):
+def _integrate(hamiltonian, state, t0, t1, tol, max_step, atol=None,
+               t_eval=None):
+    """Solve i dY/dt = H(t) Y with DOP853 for a vector or a matrix Y.
+
+    The one integrator of the package. hamiltonian(t) returns an operator
+    acting on Y; atol defaults to 1e-3 tol. Returns the flattened states
+    at the times t_eval (default: t1 alone), one column each, read from
+    the steps' interpolants; no other step is stored.
+    """
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+        raise ValueError(
+            f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
     y0 = np.asarray(state, dtype=complex)
+    shape = y0.shape
 
     def rhs(t, y):
-        return -1j * (hamiltonian(t) @ y)
+        return (-1j * (hamiltonian(t) @ y.reshape(shape))).ravel()
 
     sol = scipy.integrate.solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", rtol=tol, atol=tol * 1e-3,
+        rhs, (t0, t1), y0.ravel(), method="DOP853", rtol=tol,
+        atol=tol * 1e-3 if atol is None else atol,
         max_step=np.inf if max_step is None else max_step,
-        dense_output=dense_output)
+        t_eval=(t1,) if t_eval is None else t_eval)
     if not sol.success:
         t_fail = sol.t[-1] if len(sol.t) else t0
         raise RuntimeError(
             f"integration failed at t = {t_fail:.9e} s: {sol.message}")
-    return sol
+    return sol.y
 
 
 def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):
@@ -48,7 +64,7 @@ def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):
     state vectors. t1 < t0 integrates backwards. Raises RuntimeError
     carrying the failure time if the step size underflows.
     """
-    return _integrate(hamiltonian, state, t0, t1, tol, max_step).y[:, -1]
+    return _integrate(hamiltonian, state, t0, t1, tol, max_step)[:, -1]
 
 
 def propagator(hamiltonian, space, t0, t1, tol=1e-9, max_step=None):
@@ -58,24 +74,8 @@ def propagator(hamiltonian, space, t0, t1, tol=1e-9, max_step=None):
     matrix-valued ODE so all columns share the adaptive time grid.
     """
     dim = space.dim if isinstance(space, hilbert.SpaceSpec) else int(space)
-    eye = np.eye(dim, dtype=complex)
-
-    def h_flat(t):
-        return hamiltonian(t)
-
-    def rhs(t, y):
-        return (-1j * (h_flat(t) @ y.reshape(dim, dim))).ravel()
-
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
-    sol = scipy.integrate.solve_ivp(
-        rhs, (t0, t1), eye.ravel(), method="DOP853", rtol=tol,
-        atol=tol * 1e-3, max_step=np.inf if max_step is None else max_step)
-    if not sol.success:
-        t_fail = sol.t[-1] if len(sol.t) else t0
-        raise RuntimeError(
-            f"integration failed at t = {t_fail:.9e} s: {sol.message}")
-    return sol.y[:, -1].reshape(dim, dim)
+    u = _integrate(hamiltonian, np.eye(dim), t0, t1, tol, max_step)
+    return u[:, -1].reshape(dim, dim)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,14 +237,18 @@ def run_gate(config: drive.GateConfig, qubit_state, motional_state,
 
     backend "gaussian": exact displaced-oscillator composition; the final
     state is expressed in the per-configuration field-free reference frame.
-    backend "ode": adaptive integration of the literal Hamiltonian with the
-    drive period resolved by at least 20 steps; the final state is the full
-    interaction-picture state.
+    backend "ode": adaptive integration (tolerance tol) of the literal
+    Hamiltonian, compiled by hamiltonian_terms, with the drive period
+    resolved by at least 20 steps; the final state is the full
+    interaction-picture state. max_step lowers the step cap further and
+    applies to "ode" only.
     """
     if space.n_qubits != 2:
         raise ValueError("the gate sequence addresses exactly two qubits")
     if samples_per_pulse < 200:
         raise ValueError("post-condition requires >= 200 samples per pulse")
+    if backend != "ode" and max_step is not None:
+        raise ValueError("max_step applies only to the ode backend")
     qvec, label = _qubit_vector(qubit_state)
     mot = _motional_vector(motional_state, space)
     norm = np.linalg.norm(qvec) * np.linalg.norm(mot)
@@ -287,109 +291,137 @@ def _run_gaussian(config, modes, qvec, mot, label, space,
     return out, traj
 
 
-def hamiltonian_terms(config: drive.GateConfig, modes, space):
-    """Precompiled composite-space Hamiltonian as two term lists.
+@dataclasses.dataclass(frozen=True)
+class CompiledHamiltonian:
+    """Interaction-picture Hamiltonian of one pulse on a stack of mode-space
+    blocks, one per qubit configuration:
 
-    Returns (static_terms, field_terms), each a list of (amp, freq, op)
-    with H(t) = sum amp e^{i freq t} op; field terms carry the pulse
-    envelope as an extra factor. Equivalent to drive.tweezer_hamiltonian
-    plus envelope * drive.field_hamiltonian, but with every operator
-    product precomputed so an integrator pays only sparse matvecs.
+        H_c(t) = sum_k (static[c, k] + env(t) field[k]) e^{i freqs[k] t} O_k
+
+    Row k of data holds the term operator O_k on the shared CSR pattern
+    (indptr, indices), the union of every term's nonzeros, so an
+    evaluation is one coefficient-matrix product and no operator algebra.
     """
-    freqs = modes.frequencies
-    n_modes = space.n_modes
-    ladders = [hilbert.ladder_operators(c) for c in space.mode_cutoffs]
-    emb = [(hilbert.embed(a, ("mode", m), space),
-            hilbert.embed(ad, ("mode", m), space))
-           for m, (a, ad) in enumerate(ladders)]
-    static_terms = []
-    w_tw = config.tweezer_frequency
-    if w_tw != 0.0:
-        sz = sp.csr_matrix(np.diag([-1.0, 1.0]))
-        for ion, q in zip(config.pair, range(2)):
-            z_full = hilbert.embed(sz, ("qubit", q), space)
-            b = modes.vectors[:, ion]
-            for m in range(n_modes):
-                for n in range(n_modes):
-                    k = w_tw ** 2 * b[m] * b[n] / (
-                        4.0 * np.sqrt(freqs[m] * freqs[n]))
-                    if k == 0.0:
-                        continue
-                    am, adm = emb[m]
-                    an, adn = emb[n]
-                    static_terms.extend([
-                        (k, -(freqs[m] + freqs[n]), (z_full @ am @ an).tocsr()),
-                        (k, -(freqs[m] - freqs[n]), (z_full @ am @ adn).tocsr()),
-                        (k, +(freqs[m] - freqs[n]), (z_full @ adm @ an).tocsr()),
-                        (k, +(freqs[m] + freqs[n]), (z_full @ adm @ adn).tocsr()),
-                    ])
-    gamma = drive.gamma_from_field(config.field_amplitude, config.trap)
-    mu = drive.resolve_drive_frequency(config, modes)
-    field_terms = []
-    if gamma != 0.0:
-        a0, ad0 = emb[0]
-        w0 = freqs[0]
-        for s_mu in (+1.0, -1.0):
-            field_terms.extend([
-                (gamma, s_mu * mu - w0, a0),
-                (gamma, s_mu * mu + w0, ad0),
-            ])
-    return static_terms, field_terms
+
+    freqs: np.ndarray
+    static: np.ndarray
+    field: np.ndarray
+    data: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    dim: int
+    tau: float
+    ramp_time: float
+
+    def stacked(self, t_a=None):
+        """t -> block-diagonal H(t) of all blocks, refilled in place on
+        every call. The field follows the envelope of the pulse starting
+        at t_a; t_a None leaves it off."""
+        n_blocks, nnz = self.static.shape[0], self.data.shape[1]
+        shift = np.arange(n_blocks)[:, None]
+        h = sp.csr_matrix(
+            (np.zeros(n_blocks * nnz, dtype=complex),
+             (self.indices + shift * self.dim).ravel(),
+             np.append(0, (self.indptr[1:] + shift * nnz).ravel())),
+            shape=(n_blocks * self.dim,) * 2)
+        blocks = h.data.reshape(n_blocks, nnz)
+        rates = 1j * self.freqs
+        static, field, data = self.static, self.field, self.data
+        tau, ramp_time = self.tau, self.ramp_time
+
+        def at(t):
+            amp = static
+            if t_a is not None:
+                env = drive.ramp_envelope(t - t_a, tau, ramp_time)
+                amp = amp + env * field
+            np.matmul(amp * np.exp(rates * t), data, out=blocks)
+            return h
+
+        return at
 
 
-def _term_rhs(static_terms, field_terms, envelope_of):
-    def rhs(t, y):
-        out = np.zeros_like(y)
-        for amp, freq, op in static_terms:
-            out += (amp * np.exp(1j * freq * t)) * (op @ y)
-        env = envelope_of(t)
-        if env != 0.0:
-            for amp, freq, op in field_terms:
-                out += (env * amp * np.exp(1j * freq * t)) * (op @ y)
-        return -1j * out
-    return rhs
+def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
+                      configs=_exact.CONFIG_S) -> CompiledHamiltonian:
+    """Compile the pulse Hamiltonian of a SequenceSetup on the mode space
+    with cutoff dimensions dims, one block per qubit configuration in
+    configs (spin signs (s_i, s_j)).
+
+    The tweezer term is sum_mn K_mn / (4 sqrt(w_m w_n)) x_m(t) x_n(t) with
+    K = setup.coupling(s_i, s_j); the field term is
+    2 gamma cos(mu t) sum_m bcom_m x_m(t); x_m(t) = a_m e^{-i w_m t} + h.c.
+    Equals block c of drive.tweezer_hamiltonian plus envelope times
+    drive.field_hamiltonian. Terms that vanish in every block are dropped.
+    """
+    ws = np.asarray(setup.ws, float)
+    a_ops, ad_ops = _exact.sparse_ladders(dims)
+    k_mats = np.array([setup.coupling(si, sj) for si, sj in configs])
+    terms = []  # (freq, static amplitude per block, field amplitude, op)
+    for m, wm in enumerate(ws):
+        for n, wn in enumerate(ws):
+            amp = 0.25 * k_mats[:, m, n] / math.sqrt(wm * wn)
+            if amp.any():
+                terms += [(-(wm + wn), amp, 0.0, a_ops[m] @ a_ops[n]),
+                          (-(wm - wn), amp, 0.0, a_ops[m] @ ad_ops[n]),
+                          (wm - wn, amp, 0.0, ad_ops[m] @ a_ops[n]),
+                          (wm + wn, amp, 0.0, ad_ops[m] @ ad_ops[n])]
+    no_tweezer = np.zeros(len(configs))
+    for m, wm in enumerate(ws):
+        g = setup.gamma * setup.bcom[m]
+        if g != 0.0:
+            mu = setup.mu
+            terms += [(mu - wm, no_tweezer, g, a_ops[m]),
+                      (-(mu + wm), no_tweezer, g, a_ops[m]),
+                      (mu + wm, no_tweezer, g, ad_ops[m]),
+                      (-(mu - wm), no_tweezer, g, ad_ops[m])]
+    dim = int(np.prod(dims))
+    coo = [op.tocoo() for *_, op in terms]
+    flat = [c.row.astype(np.int64) * dim + c.col for c in coo]
+    union = np.unique(np.concatenate(flat)) if flat else np.zeros(0, int)
+    data = np.zeros((len(terms), len(union)), dtype=complex)
+    for k, (c, f) in enumerate(zip(coo, flat)):
+        data[k, np.searchsorted(union, f)] = c.data
+    return CompiledHamiltonian(
+        freqs=np.array([t[0] for t in terms], dtype=float),
+        static=np.array([t[1] for t in terms]).reshape(-1, len(configs)).T,
+        field=np.array([t[2] for t in terms], dtype=float),
+        data=data,
+        indptr=np.searchsorted(union // dim, np.arange(dim + 1)),
+        indices=union % dim, dim=dim,
+        tau=setup.tau, ramp_time=setup.ramp_time)
 
 
 def _run_ode(config, modes, qvec, mot, label, space, schedule,
              samples_per_pulse, tol, max_step):
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
-    mu = drive.resolve_drive_frequency(config, modes)
-    static_terms, field_terms = hamiltonian_terms(config, modes, space)
-    step_cap = (2 * np.pi / mu) / 20.0
+    """The composite state is the stack of the four qubit configurations'
+    mode-space blocks; pi-pulses permute the blocks."""
+    setup = _exact.setup_from_config(config, modes)
+    h = hamiltonian_terms(setup, space.mode_dims)
+    step_cap = (2 * np.pi / setup.mu) / 20.0
     step = step_cap if max_step is None else min(max_step, step_cap)
     a_com = hilbert.embed(hilbert.ladder_operators(space.mode_cutoffs[0])[0],
                           ("mode", 0), space)
-    flips = [hilbert.embed(
-        np.array([[0.0, 1.0], [1.0, 0.0]]), ("qubit", q), space)
-        for q in range(2)]
+
+    def com_mean(states):
+        return np.sum(np.conj(states) * (a_com @ states), axis=0)
 
     psi = np.kron(qvec, mot)
     times = [0.0]
-    alpha = [complex(np.vdot(psi, a_com @ psi))]
+    alpha = [complex(com_mean(psi))]
     t_a = 0.0
-    for p, pulse in enumerate(schedule.pulses):
-        if pulse.field_on:
-            def env_of(t, _p=p, _t_a=t_a):
-                return float(drive.envelope(t - _t_a, _p, config))
-        else:
-            env_of = lambda t: 0.0  # noqa: E731
-        rhs = _term_rhs(static_terms, field_terms, env_of)
+    for pulse in schedule.pulses:
         t_b = t_a + pulse.duration
-        sol = scipy.integrate.solve_ivp(
-            rhs, (t_a, t_b), psi, method="DOP853", rtol=tol,
-            atol=tol * 1e-3, max_step=step, dense_output=True)
-        if not sol.success:
-            raise RuntimeError(
-                f"integration failed at t = {sol.t[-1]:.9e} s: {sol.message}")
-        for k in range(1, samples_per_pulse + 1):
-            t_k = t_a + k * pulse.duration / samples_per_pulse
-            psi_k = sol.sol(t_k)
-            times.append(t_k)
-            alpha.append(complex(np.vdot(psi_k, a_com @ psi_k)))
-        psi = sol.y[:, -1]
+        ts = t_a + np.arange(1, samples_per_pulse + 1) * pulse.duration \
+            / samples_per_pulse
+        states = _integrate(h.stacked(t_a if pulse.field_on else None),
+                            psi, t_a, t_b, tol, step,
+                            t_eval=np.append(ts[:-1], t_b))
+        times.extend(ts)
+        alpha.extend(com_mean(states))
+        blocks = states[:, -1].reshape(4, space.mode_dim)
         for q in pulse.flip_after:
-            psi = flips[q] @ psi
+            # qubit 0 is the high bit of the configuration index
+            blocks = blocks[np.arange(4) ^ (2 >> q)]
+        psi = blocks.ravel()
         t_a = t_b
     traj = Trajectory(np.array(times), np.array(alpha), label)
     return psi, traj

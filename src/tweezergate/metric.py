@@ -213,8 +213,12 @@ def reconstruct_channel(config: drive.GateConfig,
     weight_floor, "ode" integrates the driven pulses numerically, and
     "gaussian" evaluates the closed displacement form (its thermal
     average is over the untruncated ensemble, so it differs from the
-    Fock-space backends at the size of the truncated tail).
+    Fock-space backends at the size of the truncated tail). tol and
+    max_step are the "ode" integrator's; max_step set with another
+    backend raises.
     """
+    if max_step is not None and backend != "ode":
+        raise ValueError("max_step applies only to the ode backend")
     setup = _channel_setup(config, thermal, space)
     if backend == "gaussian":
         w, _ = _exact.gaussian_wmat(setup, thermal.nbar)

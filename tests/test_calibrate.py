@@ -297,6 +297,29 @@ class TestRunSweep:
         assert [p.report.as_dict() for p in resumed] == \
                [p.report.as_dict() for p in calibrate.run_sweep(spec)]
 
+    def test_engine_version_change_is_a_miss(self, tmp_path, monkeypatch):
+        spec = calibrate.SweepSpec(
+            axis="tweezer_frequency",
+            grid=(0.20 * calibrate.DEFAULT_COM_FREQUENCY,),
+            config=config(), cutoffs=(10,))
+        cache = tmp_path / "cache"
+        calibrate.run_sweep(spec, cache_dir=str(cache))
+        real = calibrate._evaluate_point
+        calls = []
+
+        def counting(spec_, value):
+            calls.append(value)
+            return real(spec_, value)
+
+        monkeypatch.setattr(calibrate, "_evaluate_point", counting)
+        calibrate.run_sweep(spec, cache_dir=str(cache))
+        assert calls == []
+        monkeypatch.setattr(calibrate, "ENGINE_VERSION",
+                            calibrate.ENGINE_VERSION + 1)
+        calibrate.run_sweep(spec, cache_dir=str(cache))
+        assert calls == list(spec.grid)
+        assert len(list(cache.iterdir())) == 2
+
     def test_truncated_cache_entry_is_a_miss(self, tmp_path):
         spec = calibrate.SweepSpec(
             axis="tweezer_frequency",

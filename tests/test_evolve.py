@@ -6,7 +6,7 @@ import pytest
 import scipy.constants as const
 import scipy.sparse as sp
 
-from tweezergate import crystal, drive, evolve, hilbert
+from tweezergate import _exact, crystal, drive, evolve, hilbert
 from tweezergate.evolve import (
     PulseRecord,
     PulseSchedule,
@@ -171,28 +171,87 @@ class TestSchedule:
 
 
 class TestHamiltonianTerms:
-    def test_matches_drive_factories(self):
-        cfg = config(tweezer_frequency=0.2 * W)
-        modes = crystal.normal_modes(trap(2))
-        space = hilbert.SpaceSpec(2, (3, 2))
-        static_terms, field_terms = hamiltonian_terms(cfg, modes, space)
+    """The compiled per-configuration Hamiltonian against the literal
+    composite-space H(t) of the drive module."""
+
+    def setup_method(self):
+        self.cfg = config(tweezer_frequency=0.2 * W)
+        self.modes = crystal.normal_modes(trap(2))
+        self.space = hilbert.SpaceSpec(2, (3, 2))
+        self.setup = _exact.setup_from_config(self.cfg, self.modes)
+        self.h = hamiltonian_terms(self.setup, self.space.mode_dims)
+
+    def literal(self, t, env):
+        space, modes, cfg = self.space, self.modes, self.cfg
         h_tw = drive.tweezer_hamiltonian(modes, cfg.pair,
                                          cfg.tweezer_frequency, space)
-        mu = drive.resolve_drive_frequency(cfg, modes)
-        gamma = drive.gamma_from_field(cfg.field_amplitude, cfg.trap)
-        h_field = drive.field_hamiltonian(gamma, mu, space,
-                                          com_frequency=modes.frequencies[0])
+        h_field = drive.field_hamiltonian(
+            self.setup.gamma, self.setup.mu, space,
+            com_frequency=modes.frequencies[0])
+        return (h_tw(t) + env * h_field(t)).toarray()
+
+    def test_matches_drive_factories(self):
+        # the stacked operator of a field pulse starting at t = 0 is the
+        # literal H(t), which is block diagonal in the configurations
+        d = self.space.mode_dim
+        stacked = self.h.stacked(0.0)
         rng = np.random.default_rng(17)
-        tau = cfg.pulse_duration
-        for t in rng.uniform(0.0, tau, size=8):
-            env = float(drive.envelope(t, 0, cfg))
-            ref = (h_tw(t) + env * h_field(t)).toarray()
-            got = sum(amp * np.exp(1j * f * t) * op.toarray()
-                      for amp, f, op in static_terms)
-            got = got + env * sum(amp * np.exp(1j * f * t) * op.toarray()
-                                  for amp, f, op in field_terms)
-            np.testing.assert_allclose(got, ref, atol=1e-9 * max(
-                1.0, np.abs(ref).max()))
+        tau = self.cfg.pulse_duration
+        for t in np.append(rng.uniform(0.0, tau, size=8), 0.005 * tau):
+            ref = self.literal(t, float(drive.envelope(t, 0, self.cfg)))
+            got = stacked(t).toarray()
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * scale)
+            for c in range(4):
+                blk = got[c * d:(c + 1) * d, c * d:(c + 1) * d]
+                np.testing.assert_allclose(blk, blk.conj().T, rtol=0,
+                                           atol=1e-12 * scale)
+
+    def test_field_off_and_pulse_offset(self):
+        tau = self.cfg.pulse_duration
+        t = 3.004 * tau
+        h_off = self.h.stacked()(t).toarray()
+        np.testing.assert_allclose(h_off, self.literal(t, 0.0), rtol=0,
+                                   atol=1e-9 * np.abs(h_off).max())
+        # the envelope runs from the pulse start t_a
+        env = float(drive.envelope(t - 3 * tau, 3, self.cfg))
+        assert 0.0 < env < 1.0
+        h_on = self.h.stacked(3 * tau)(t).toarray()
+        np.testing.assert_allclose(h_on, self.literal(t, env), rtol=0,
+                                   atol=1e-9 * np.abs(h_on).max())
+
+    def test_blocks_follow_configurations(self):
+        # block c carries the tweezer of the configuration it is given
+        d = self.space.mode_dim
+        path = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
+        got = hamiltonian_terms(self.setup, self.space.mode_dims,
+                                path).stacked(0.0)(0.37e-3).toarray()
+        ref = self.h.stacked(0.0)(0.37e-3).toarray()
+        for c, cfg in enumerate(path):
+            r = _exact.CONFIG_S.index(cfg)
+            np.testing.assert_allclose(
+                got[c * d:(c + 1) * d, c * d:(c + 1) * d],
+                ref[r * d:(r + 1) * d, r * d:(r + 1) * d],
+                rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    def test_spin_sign_and_vacuum_element(self):
+        # single mode, field off: <0|H_c(t)|0> = K_c / (4 w) with
+        # K_c = w_tw^2 (s_i + s_j) / 2 for the uniform COM participation
+        modes = self.modes.restrict([0])
+        setup = _exact.setup_from_config(self.cfg, modes)
+        h = hamiltonian_terms(setup, (4,)).stacked()(1.3e-6).toarray()
+        w = modes.frequencies[0]
+        unit = self.cfg.tweezer_frequency ** 2 / (4 * w)
+        for c, (si, sj) in enumerate(_exact.CONFIG_S):
+            assert h[4 * c, 4 * c] == pytest.approx(
+                unit * (si + sj) / 2, rel=1e-12, abs=1e-9 * unit)
+
+    def test_no_terms_when_off(self):
+        cfg = config(tweezer_frequency=0.0, field_amplitude=0.0)
+        setup = _exact.setup_from_config(cfg, self.modes)
+        h = hamiltonian_terms(setup, self.space.mode_dims)
+        assert h.freqs.size == 0
+        assert h.stacked(0.0)(1e-6).nnz == 0
 
 
 class TestRunGate:
@@ -278,6 +337,31 @@ class TestRunGate:
         _, traj_g = run_gate(cfg, "01", (0,), space, backend="gaussian")
         assert np.abs(traj_o.alpha - traj_g.alpha).max() < 1e-6
         assert abs(np.linalg.norm(psi_o) - 1) < 1e-9  # norm drift
+
+    def test_ode_superposition_is_weighted_basis_runs(self):
+        # the stacked blocks are permuted at every pi-pulse; linearity
+        # ties a superposition run to the four basis-state runs.  Short
+        # pulses (|delta| = 0.05 w_com, same gamma/|delta|) and the
+        # tightest tolerance keep the runs' different step grids apart by
+        # far less than the bound
+        cfg = config(detuning=-2 * np.pi * 5e4, field_amplitude=50 * 2.69e-4)
+        space = hilbert.SpaceSpec(2, (3,))
+        q = np.array([0.5, 0.5j, -0.5, 0.5])
+        psi, traj = run_gate(cfg, q, (1,), space, backend="ode", tol=1e-12)
+        runs = [run_gate(cfg, label, (1,), space, backend="ode", tol=1e-12)
+                for label in ("00", "01", "10", "11")]
+        psi_ref = sum(qc * p for qc, (p, _) in zip(q, runs))
+        alpha_ref = sum(abs(qc) ** 2 * tr.alpha
+                        for qc, (_, tr) in zip(q, runs))
+        assert np.abs(psi - psi_ref).max() < 1e-10
+        assert np.abs(traj.alpha - alpha_ref).max() < 1e-10
+
+    def test_max_step_only_for_ode(self):
+        cfg = config()
+        space = hilbert.SpaceSpec(2, (4,))
+        with pytest.raises(ValueError, match="max_step"):
+            run_gate(cfg, "01", (0,), space, backend="gaussian",
+                     max_step=1e-8)
 
     def test_max_step_halving(self):
         cfg = fast_config()

@@ -287,3 +287,20 @@ def test_static_heisenberg_map_matches_loops(name):
         want = static_heisenberg_map_ref(setup.ws, k_mat, 1.3e-4, 2e-5,
                                          1.5e-4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3_twomode", "table1"])
+def test_static_heisenberg_map_batches_offsets(name):
+    # one diagonalization serves all sample offsets of a pulse
+    setup, _ = preset_setup(name)
+    t_a = 2 * setup.tau
+    dts = np.append(np.arange(1, 201) * setup.tau / 200, setup.tau)
+    for si, sj in _exact.CONFIG_S:
+        k_mat = setup.coupling(si, sj)
+        got = _exact.static_heisenberg_map(setup.ws, k_mat, dts, t_a,
+                                           t_a + dts)
+        assert got.shape == (len(dts), 2 * setup.n_modes, 2 * setup.n_modes)
+        for dt, s_dt in zip(dts[::23], got[::23]):
+            want = _exact.static_heisenberg_map(setup.ws, k_mat, dt, t_a,
+                                                t_a + dt)
+            np.testing.assert_allclose(s_dt, want, rtol=0, atol=1e-13)

@@ -349,6 +349,44 @@ class TestReconstructChannel:
         f_f = metric.process_fidelity(ch_f, np.eye(4))
         assert abs(f_o - f_f) < 1e-5
 
+    def test_ode_propagators_unitary(self):
+        # the test suite's fast gate (20x |delta| and field)
+        cfg = config(field_amplitude=20 * 2.69e-4,
+                     detuning=-2.0 * math.pi * 2.0e4)
+        space = hilbert.SpaceSpec(2, (4,))
+        setup = _exact.setup_from_config(
+            cfg, evolve.retained_modes(cfg, space))
+        weights = hilbert.ThermalEnsemble((0.0,), (4,)).weights()
+        _, us = _exact.ode_wmat(setup, space.mode_dims, weights)
+        assert len(us) == 4
+        for u in us:
+            assert np.abs(u.conj().T @ u - np.eye(space.mode_dim)).max() \
+                < 1e-9
+
+    def test_ode_tol_range_enforced(self, fig_point):
+        # the channel and run_gate share one integrator and its check
+        cfg, _ = fig_point
+        space = hilbert.SpaceSpec(2, (4,))
+        th = hilbert.ThermalEnsemble((0.0,), (4,))
+        with pytest.raises(ValueError, match="tol must lie") as channel:
+            metric.reconstruct_channel(cfg, th, space, backend="ode",
+                                       tol=1e-3)
+        with pytest.raises(ValueError, match="tol must lie") as gate:
+            evolve.run_gate(cfg, "01", (0,), space, backend="ode", tol=1e-3)
+        assert str(channel.value) == str(gate.value)
+
+    @pytest.mark.parametrize("backend", ["gaussian", "fock", "column"])
+    def test_max_step_only_for_ode(self, fig_point, backend):
+        cfg, _ = fig_point
+        space = hilbert.SpaceSpec(2, (4,))
+        th = hilbert.ThermalEnsemble((0.0,), (4,))
+        with pytest.raises(ValueError, match="max_step"):
+            metric.reconstruct_channel(cfg, th, space, backend=backend,
+                                       max_step=1e-8)
+        with pytest.raises(ValueError, match="max_step"):
+            metric.fidelity_report(cfg, th, space, backend=backend,
+                                   max_step=1e-8)
+
     def test_ground_state_column_oracle(self, fig_point, fig_channel):
         # at nbar = 0 the overlap is a single vacuum-column inner product
         cfg, space = fig_point
