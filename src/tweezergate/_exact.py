@@ -15,9 +15,9 @@ intervening static factors via their exact Heisenberg action on
 xi = (a_1..a_N, a^dag_1..a^dag_N) cancels every static factor, leaving a
 pure product of displacements. Three equivalent materializations are
 provided: 'gaussian' (scalar displacement composition, exact, no Hilbert
-space), dense truncated operators, and sparse column propagation; plus an
-independent check, ode_wmat, that integrates the driven pulses with the
-package's ODE solver (evolve.hamiltonian_terms, evolve._integrate).
+space), dense truncated operators, and per-mode d_m x d_m factors; plus
+an independent check, ode_wmat, that integrates the driven pulses with
+the package's ODE solver (evolve.hamiltonian_terms, evolve._integrate).
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 # qubit configurations in basis order |00>, |01>, |10>, |11>; s = +1 for |1>
 CONFIG_S = ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -436,9 +435,10 @@ class ModeOps:
 
 
 def expm_herm(h):
-    """exp(-i h) for Hermitian h via eigendecomposition."""
+    """exp(-i h) for (stacked) Hermitian h via eigendecomposition."""
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals)[..., None, :]) \
+        @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def dense_u_rel(gens, ops: ModeOps):
@@ -492,47 +492,45 @@ def sparse_ladders(dims):
     return a_ops, [m.conj().T.tocsr() for m in a_ops]
 
 
-def column_u_rel(gens, ladders, psi0):
-    """Apply the displacement product to one state column (sparse);
-    ladders is sparse_ladders(dims) of the mode space."""
-    a_ops, ad_ops = ladders
-    n = len(a_ops)
-    psi = np.array(psi0, dtype=complex)
-    for v, ph in gens:
-        hx = None
-        for m in range(n):
-            vad = 0.5 * (v[n + m] + np.conj(v[m]))
-            if vad != 0.0:
-                term = vad * ad_ops[m] + np.conj(vad) * a_ops[m]
-                hx = term if hx is None else hx + term
-        if hx is not None:
-            psi = expm_multiply(-1j * hx.tocsc(), psi)
-        psi = np.exp(-1j * ph) * psi
-    return psi
+def mode_displacements(vad, dim):
+    """exp(-i (vad a^dag + conj(vad) a)) on one mode truncated to dim
+    levels, stacked over the axes of vad."""
+    ad = np.diag(np.sqrt(np.arange(1, dim)), -1)
+    vad = np.asarray(vad, complex)[..., None, None]
+    return expm_herm(vad * ad + np.conj(vad) * ad.T)
+
+
+def mode_factors(gens, dims):
+    """(us, phase) with exp(-i phase) kron_m us[m] the displacement product
+    on the truncated mode space: each generator is a sum of commuting
+    single-mode terms, so it exponentiates mode by mode exactly."""
+    n = len(dims)
+    v = np.reshape([vs for vs, _ in gens], (-1, 2 * n))
+    # enforce Hermitian pairing against roundoff of the mapping
+    vad = 0.5 * (v[:, n:] + np.conj(v[:, :n]))
+    us = [np.eye(d, dtype=complex) for d in dims]
+    for m, d in enumerate(dims):
+        for factor in mode_displacements(vad[:, m], d):
+            us[m] = factor @ us[m]
+    return us, sum(ph for _, ph in gens)
 
 
 def column_wmat(setup: SequenceSetup, dims, weights, weight_floor=0.0):
-    """Channel matrix via sparse column propagation of every product Fock
-    state whose weight exceeds weight_floor."""
-    dim = int(np.prod(dims))
+    """Channel matrix over the Fock columns with weight above weight_floor:
+    <n|U_c'^dag U_c|n> = e^{i(phase_c' - phase_c)}
+    prod_m (u_c'm^dag u_cm)[n_m, n_m] with mode_factors u, phase."""
     w_arr = np.asarray(weights, float)
-    if w_arr.shape != (dim,):
+    if w_arr.shape != (int(np.prod(dims)),):
         raise ValueError("weight vector does not match the mode space")
-    idx = np.where(w_arr > weight_floor)[0]
-    ladders = sparse_ladders(dims)
-    cols = {c: [] for c in range(4)}
-    for c, (si, sj) in enumerate(CONFIG_S):
-        gens = config_generators(setup, si, sj)
-        for i in idx:
-            psi0 = np.zeros(dim, dtype=complex)
-            psi0[i] = 1.0
-            cols[c].append(column_u_rel(gens, ladders, psi0))
-    w = np.zeros((4, 4), dtype=complex)
-    for c in range(4):
-        for cp in range(4):
-            w[c, cp] = sum(w_arr[i] * np.vdot(cols[cp][k], cols[c][k])
-                           for k, i in enumerate(idx))
-    return w
+    idx = np.flatnonzero(w_arr > weight_floor)
+    factors, phases = zip(*(mode_factors(config_generators(setup, si, sj),
+                                         dims) for si, sj in CONFIG_S))
+    overlap = np.ones((4, 4, len(idx)), dtype=complex)
+    for m, n_m in enumerate(np.unravel_index(idx, dims)):
+        u = np.array([us[m] for us in factors])
+        overlap *= np.einsum("djk,cjk->cdk", np.conj(u), u)[:, :, n_m]
+    phases = np.array(phases)
+    return np.exp(1j * (phases - phases[:, None])) * (overlap @ w_arr[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,8 @@ def corrected_drive_frequency(trap: crystal.TrapSpec, pair,
 # Version of the numbers behind a cached report; part of the cache key, so
 # raise it whenever a change moves any backend's results. 2: the ODE
 # backend integrates the four qubit configurations as one stacked system.
-ENGINE_VERSION = 2
+# 3: the column backend composes per-mode factors.
+ENGINE_VERSION = 3
 
 
 def config_hash(config: drive.GateConfig, nbar, cutoffs,

@@ -215,9 +215,7 @@ def _displace_modes(mot, alpha, space: hilbert.SpaceSpec):
     for m, (a_m, dim) in enumerate(zip(alpha, space.mode_dims)):
         if a_m == 0.0:
             continue
-        ad = np.diag(np.sqrt(np.arange(1, dim)), -1)
-        gen = 1j * (a_m * ad - np.conj(a_m) * ad.T)
-        d_m = _exact.expm_herm(gen)
+        d_m = _exact.mode_displacements(1j * a_m, dim)
         tensor = np.moveaxis(np.tensordot(d_m, tensor, axes=([1], [m])),
                              0, m)
     return tensor.ravel()

@@ -209,16 +209,19 @@ def reconstruct_channel(config: drive.GateConfig,
 
     Backends agree on the physics and differ in method and cost:
     "fock" materializes dense truncated propagators (the reference),
-    "column" propagates only the Fock columns with thermal weight above
-    weight_floor, "ode" integrates the driven pulses numerically, and
-    "gaussian" evaluates the closed displacement form (its thermal
-    average is over the untruncated ensemble, so it differs from the
-    Fock-space backends at the size of the truncated tail). tol and
-    max_step are the "ode" integrator's; max_step set with another
-    backend raises.
+    "column" composes per-mode truncated factors and sums the Fock
+    columns with thermal weight above weight_floor, "ode" integrates the
+    driven pulses numerically, and "gaussian" evaluates the closed
+    displacement form (its thermal average is over the untruncated
+    ensemble, so it differs from the Fock-space backends at the size of
+    the truncated tail). tol and max_step are the "ode" integrator's;
+    max_step with another backend, or weight_floor with any but
+    "column", raises.
     """
     if max_step is not None and backend != "ode":
         raise ValueError("max_step applies only to the ode backend")
+    if weight_floor != 0.0 and backend != "column":
+        raise ValueError("weight_floor applies only to the column backend")
     setup = _channel_setup(config, thermal, space)
     if backend == "gaussian":
         w, _ = _exact.gaussian_wmat(setup, thermal.nbar)

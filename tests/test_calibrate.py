@@ -393,6 +393,16 @@ class TestFourIonTable:
         for st, inf in zip(table, want_inf):
             assert st.infidelity_x1e4 == pytest.approx(inf, abs=2e-3)
 
+    def test_thermal_column_table_matches_gaussian(self):
+        # every Fock column of all four modes (3024 states) at nbar_com 0.3
+        col = calibrate.four_ion_table(W_TW_TABLE, DELTA, nbar_com=0.3,
+                                       backend="column")
+        gau = calibrate.four_ion_table(W_TW_TABLE, DELTA, nbar_com=0.3,
+                                       backend="gaussian")
+        for st_c, st_g in zip(col, gau):
+            assert st_c.pair == st_g.pair
+            assert abs(st_c.fidelity - st_g.fidelity) < 1e-9
+
     @pytest.mark.xfail(strict=True, reason=(
         "not mirror symmetric: the corrected drive frequencies of chain "
         "pairs (1,2) and (3,4) differ by 29 rad/s, and with one drive "

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from tweezergate import _exact
 from tweezergate import crystal
@@ -45,6 +46,39 @@ def unitary_channel(u, cfg):
                                  overlaps=np.outer(d, np.conj(d)),
                                  nbar=(0.0,), cutoffs=(1,), config=cfg,
                                  backend="propagator")
+
+
+def column_u_rel(gens, ladders, psi0):
+    """Reference: apply the displacement product to a state column (or to
+    the columns of a matrix) by sparse expm_multiply on the full product
+    space; ladders is _exact.sparse_ladders(dims) of the mode space."""
+    a_ops, ad_ops = ladders
+    n = len(a_ops)
+    psi = np.array(psi0, dtype=complex)
+    for v, ph in gens:
+        hx = None
+        for m in range(n):
+            vad = 0.5 * (v[n + m] + np.conj(v[m]))
+            if vad != 0.0:
+                term = vad * ad_ops[m] + np.conj(vad) * a_ops[m]
+                hx = term if hx is None else hx + term
+        if hx is not None:
+            psi = expm_multiply(-1j * hx.tocsc(), psi)
+        psi = np.exp(-1j * ph) * psi
+    return psi
+
+
+def column_reference_wmat(setup, dims, weights, columns):
+    """W[c, c'] = sum_n p_n <n|U_c'^dag U_c|n> over the listed columns,
+    each propagated by column_u_rel."""
+    ladders = _exact.sparse_ladders(dims)
+    psi0 = np.eye(int(np.prod(dims)), dtype=complex)[:, columns]
+    cols = [column_u_rel(_exact.config_generators(setup, si, sj), ladders,
+                         psi0)
+            for si, sj in _exact.CONFIG_S]
+    return np.array([[np.sum(weights[columns]
+                             * np.sum(np.conj(cols[cp]) * cols[c], axis=0))
+                      for cp in range(4)] for c in range(4)])
 
 
 @pytest.fixture(scope="module")
@@ -398,10 +432,19 @@ class TestReconstructChannel:
             gens = _exact.config_generators(setup, si, sj)
             psi0 = np.zeros(space.mode_dim, dtype=complex)
             psi0[0] = 1.0
-            cols.append(_exact.column_u_rel(gens, ladders, psi0))
+            cols.append(column_u_rel(gens, ladders, psi0))
         w = np.array([[np.vdot(cols[cp], cols[c]) for cp in range(4)]
                       for c in range(4)])
         np.testing.assert_allclose(fig_channel.overlaps, w, atol=1e-10)
+
+    @pytest.mark.parametrize("backend", ["gaussian", "fock", "ode"])
+    def test_weight_floor_only_for_column(self, fig_point, backend):
+        cfg, _ = fig_point
+        space = hilbert.SpaceSpec(2, (4,))
+        th = hilbert.ThermalEnsemble((0.0,), (4,))
+        with pytest.raises(ValueError, match="weight_floor"):
+            metric.reconstruct_channel(cfg, th, space, backend=backend,
+                                       weight_floor=1e-6)
 
     def test_thermal_tail_rejected(self, fig_point):
         cfg, _ = fig_point
@@ -439,6 +482,53 @@ class TestReconstructChannel:
         f = metric.process_fidelity(fig_channel, u)
         assert f > 0.999
         assert f == pytest.approx(0.9998231, abs=5e-6)
+
+
+def _thermal_multimode_point(name):
+    if name == "fig3_twomode":
+        cfg = config()
+        cutoffs, nbar_com = (14, 10), 0.6
+    else:  # table1 pair (1,2) at reduced cutoffs
+        cfg = config(trap=trap(4), tweezer_frequency=2 * math.pi * 257e3,
+                     detuning=-2 * math.pi * 1e3)
+        cutoffs, nbar_com = (5, 2, 2, 2), 0.3
+    space = hilbert.SpaceSpec(2, cutoffs)
+    setup = _exact.setup_from_config(cfg, evolve.retained_modes(cfg, space))
+    thermal = hilbert.equal_temperature_ensemble(
+        nbar_com, crystal.normal_modes(cfg.trap).restrict(
+            range(len(cutoffs))).frequencies, cutoffs)
+    return setup, space.mode_dims, thermal.weights()
+
+
+class TestColumnBackend:
+    @pytest.mark.parametrize("name", ["fig3_twomode", "table1"])
+    def test_thermal_multimode_matches_references(self, name):
+        setup, dims, p = _thermal_multimode_point(name)
+        w = _exact.column_wmat(setup, dims, p)
+        ref = column_reference_wmat(setup, dims, p, np.arange(len(p)))
+        np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12)
+        w_dense, _ = _exact.dense_wmat(setup, dims, p)
+        np.testing.assert_allclose(w, w_dense, rtol=0, atol=1e-12)
+
+    def test_weight_floor_between_weights(self):
+        setup, dims, p = _thermal_multimode_point("table1")
+        levels = np.unique(p)[::-1]
+        floor = 0.5 * (levels[3] + levels[4])
+        kept = np.flatnonzero(p > floor)
+        assert 0 < len(kept) < len(p)
+        w = _exact.column_wmat(setup, dims, p, weight_floor=floor)
+        np.testing.assert_allclose(
+            w, column_reference_wmat(setup, dims, p, kept),
+            rtol=0, atol=1e-12)
+        assert np.max(np.abs(w - _exact.column_wmat(setup, dims, p))) > 1e-6
+
+    def test_mode_factors_are_kronecker_factors(self):
+        setup, dims, _ = _thermal_multimode_point("fig3_twomode")
+        gens = _exact.config_generators(setup, 1, -1)
+        us, phase = _exact.mode_factors(gens, dims)
+        u_dense = _exact.dense_u_rel(gens, _exact.ModeOps(dims))
+        np.testing.assert_allclose(np.exp(-1j * phase) * np.kron(*us),
+                                   u_dense, rtol=0, atol=1e-12)
 
 
 class TestChannelFromPropagator:
