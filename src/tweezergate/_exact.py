@@ -7,7 +7,10 @@ frame of H0 the drive stays linear in the ladder operators with
 coefficients that are finite sums of complex exponentials, so the Magnus
 series terminates at second order: every envelope segment contributes one
 displacement factor exp(-i(v.a + conj(v).a^dag + phase)), with the moment
-integrals evaluated in closed form.
+integrals evaluated in closed form.  The phase is the second-order
+(commutator) Magnus term (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+(2009)); ladder operators of different dressed modes commute, so only
+same-mode piece pairs contribute: O(N) double moments per segment.
 
 The channel only needs the propagator relative to the field-free
 reference. Conjugating the late displacement factors through the
@@ -181,14 +184,14 @@ def xcom_pieces(ws, wt, o, bcom):
     return beta.reshape(2 * n_modes, -1), theta
 
 
-def static_heisenberg_map(ws, k_mat, dt, t_a, t_b):
+def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
     """Heisenberg action S of one static factor on xi = (a_n, a_n^dag):
     s^dag xi s = S xi for s = R(t_b) exp(-i H0 dt) R(t_a)^dag, R the bare
-    rotation exp(+i sum w_m (n_m + 1/2) t).
+    rotation exp(+i sum w_m (n_m + 1/2) t); dressed = normal_form(ws, K).
 
     dt and t_b broadcast against each other; the maps stack on their
-    leading axes (one diagonalization serves every dt)."""
-    wt, o = normal_form(ws, k_mat)
+    leading axes."""
+    wt, o = dressed
     sw = np.sqrt(np.asarray(ws, float))
     dt, t_b = np.broadcast_arrays(np.asarray(dt, float),
                                   np.asarray(t_b, float))
@@ -292,14 +295,15 @@ def path_of(si, sj, echo_schedule, pulse_count):
     return path[:pulse_count]
 
 
-def pulse_segment_coefs(setup: SequenceSetup, k_mat, t_a):
-    """(t1, t2, coef) for the driven segments of one pulse, batched over
-    the segments: coef rows are a_1..a_N, a^dag_1..a^dag_N.
+def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
+    """(t1, t2, coef) for the driven segments of one pulse in the dressed
+    frame (wt, o) = normal_form(ws, K), batched over the segments: coef
+    rows are a_1..a_N, a^dag_1..a^dag_N, pieces (drive e, mode d, -/+ wt_d).
 
     Time is absolute; the dressed-frame pieces run in s = t - t_a, folded in
     as constant phases exp(-i theta t_a).
     """
-    wt, o = normal_form(setup.ws, k_mat)
+    wt, o = dressed
     beta_x, theta_x = xcom_pieces(setup.ws, wt, o, setup.bcom)
     segs = [(kind, t1, t2)
             for kind, t1, t2 in segments(t_a, setup.tau, setup.ramp_time)
@@ -327,15 +331,23 @@ def pulse_segment_coefs(setup: SequenceSetup, k_mat, t_a):
 
 
 def segment_generators(t1, t2, coef):
-    """Displacement generators (v, phase) of a batch of segments: the linear
-    moment plus the scalar second-order commutator phase (same-mode pairs
-    only; cross-mode ladder pairs commute)."""
-    n = coef.beta.shape[-2] // 2
-    v = coef.m0(t1, t2)
-    j = double_moment(coef, t1, t2)
-    jkl = np.diagonal(j[..., :n, n:], axis1=-2, axis2=-1)
-    jlk = np.diagonal(j[..., n:, :n], axis1=-2, axis2=-1)
-    return v, np.sum(np.real(-0.5j * (jkl - jlk)), axis=-1)
+    """Displacement generators (v, phase) of a batch of segments laid out
+    as by pulse_segment_coefs: the linear moment and the commutator phase
+    sum_pq int_j[p, q] M[p, q] / 2i, M = A^T A^dag - (A^T A^dag)^T with
+    A, A^dag the a- and a^dag-rows of beta.  Pieces of different dressed
+    modes commute (Blanes et al. 2009), so M is block diagonal and only
+    the N blocks of same-mode piece pairs are integrated."""
+    s, n2, _ = coef.beta.shape
+    n = n2 // 2
+    # pieces (e, d, -/+) -> per dressed mode d the pieces (e, -/+)
+    beta = np.moveaxis(coef.beta.reshape(s, n2, -1, n, 2), 3, 1)
+    th = np.moveaxis(coef.theta.reshape(s, -1, n, 2), 2, 1).reshape(s, n, -1)
+    t1b, t2b = (np.reshape(t, (-1, 1, 1, 1)) for t in (t1, t2))
+    ij = int_j(th[..., :, None], th[..., None, :], t1b, t2b)
+    beta = beta.reshape(s, n, n2, -1)
+    m = np.swapaxes(beta[:, :, :n], -1, -2) @ beta[:, :, n:]
+    phase = np.sum(ij * (m - np.swapaxes(m, -1, -2)), axis=(1, 2, 3))
+    return coef.m0(t1, t2), np.real(-0.5j * phase)
 
 
 def config_generators(setup: SequenceSetup, si, sj):
@@ -349,15 +361,16 @@ def config_generators(setup: SequenceSetup, si, sj):
     evaluated in one batch.
     """
     path = path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+    dressed = {cfg: normal_form(setup.ws, setup.coupling(*cfg))
+               for cfg in set(path)}
     driven = []  # (t1, t2, coef, map of the statics before) per pulse
     t_map = None
     for p, cfg in enumerate(path):
-        k_mat = setup.coupling(*cfg)
         if p in setup.field_pulses and setup.gamma != 0.0:
-            driven.append(pulse_segment_coefs(setup, k_mat, p * setup.tau)
-                          + (t_map,))
+            driven.append(pulse_segment_coefs(setup, dressed[cfg],
+                                              p * setup.tau) + (t_map,))
         if p < len(path) - 1:
-            s_p = static_heisenberg_map(setup.ws, k_mat, setup.tau,
+            s_p = static_heisenberg_map(setup.ws, dressed[cfg], setup.tau,
                                         p * setup.tau, (p + 1) * setup.tau)
             t_map = s_p if t_map is None else s_p @ t_map
     if not driven:
@@ -536,26 +549,18 @@ def column_wmat(setup: SequenceSetup, dims, weights, weight_floor=0.0):
 # ---------------------------------------------------------------------------
 # ideal-gate phases
 
-def shifted_com_branch(setup: SequenceSetup, si, sj) -> float:
-    """Lowest dressed branch frequency for one spin configuration, over the
-    retained modes."""
-    wt, _ = normal_form(setup.ws, setup.coupling(si, sj))
-    return float(wt[0])
-
-
 def ideal_phases(setup: SequenceSetup):
     """Accumulated phase per qubit configuration of the reference-relative
     target gate: each driven pulse contributes -gamma^2 tau / (mu - w_com~)
     with w_com~ the shifted COM branch seen during that pulse."""
-    thetas = []
-    for si, sj in CONFIG_S:
-        path = path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-        th = 0.0
-        for p in setup.field_pulses:
-            wc = shifted_com_branch(setup, *path[p])
-            th += -setup.gamma ** 2 * setup.tau / (setup.mu - wc)
-        thetas.append(th)
-    return np.array(thetas)
+    branch = {cfg: normal_form(setup.ws, setup.coupling(*cfg))[0][0]
+              for cfg in CONFIG_S}
+    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+             for si, sj in CONFIG_S]
+    return np.array([sum(-setup.gamma ** 2 * setup.tau
+                         / (setup.mu - branch[path[p]])
+                         for p in setup.field_pulses) for path in paths],
+                    dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +601,18 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
 
     alpha = np.zeros(n, dtype=complex)
     for p, cfg in enumerate(path):
-        k_mat = setup.coupling(*cfg)
+        dressed = normal_form(setup.ws, setup.coupling(*cfg))
         t_a = p * setup.tau
         seg_coefs = None
         if p in setup.field_pulses and setup.gamma != 0.0:
-            seg_coefs = pulse_segment_coefs(setup, k_mat, t_a)
+            seg_coefs = pulse_segment_coefs(setup, dressed, t_a)
         ts = t_a + np.arange(1, samples_per_pulse + 1) * setup.tau \
             / samples_per_pulse
         # moments and static maps at every sample and at the pulse end,
         # each in one batch
         t_all = np.append(ts, t_a + setup.tau)
         w_all = mapped_partial(seg_coefs, t_all)
-        s_all = static_heisenberg_map(setup.ws, k_mat,
+        s_all = static_heisenberg_map(setup.ws, dressed,
                                       np.append(ts - t_a, setup.tau), t_a,
                                       t_all)
         a_t = alpha + (-1j) * w_all[:-1, n:]

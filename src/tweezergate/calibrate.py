@@ -199,8 +199,8 @@ def corrected_drive_frequency(trap: crystal.TrapSpec, pair,
 # Version of the numbers behind a cached report; part of the cache key, so
 # raise it whenever a change moves any backend's results. 2: the ODE
 # backend integrates the four qubit configurations as one stacked system.
-# 3: the column backend composes per-mode factors.
-ENGINE_VERSION = 3
+# 3: the column backend composes per-mode factors. 4: per-dressed-mode phase.
+ENGINE_VERSION = 4
 
 
 def config_hash(config: drive.GateConfig, nbar, cutoffs,
@@ -382,7 +382,9 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
     Each pair gets its corrected drive frequency from the full-crystal
     mixed-configuration branch, then runs the gate with the full tweezer
     coupling and all retained modes.  Pairs are labeled with 1-based
-    chain positions; unlisted pairs are mirror images of listed ones.
+    chain positions, qubit 0 on the first listed ion.  The ordered mirror
+    (n-1-i, n-1-j) of 0-based (i, j) gives the same row; (n-1-j, n-1-i),
+    which moves qubit 0 to the other ion, does not.
     """
     if trap is None:
         trap = default_four_ion_trap()

@@ -352,8 +352,9 @@ def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
             "omega_com_minus_mu_khz": st.offset_hz / 1e3,
         } for st in table],
         "conventions": {
-            "pair_indexing": "1-based chain positions; unlisted pairs "
-                             "are mirror images of listed ones",
+            "pair_indexing": "1-based chain positions, qubit 0 on the first "
+                             "ion; (n-1-i, n-1-j) gives the same row, "
+                             "(n-1-j, n-1-i) does not",
             "offset_definition": "(omega_com - mu) / 2pi in kHz, "
                                  "positive when the drive sits below "
                                  "the bare COM frequency",

@@ -7,6 +7,7 @@ at the API boundary.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.constants as const
@@ -95,27 +96,16 @@ def coulomb_length(trap: TrapSpec) -> float:
 
 def _potential_gradient(u: np.ndarray) -> np.ndarray:
     # dimensionless force balance: trap pull minus pairwise Coulomb repulsion
-    g = u.copy()
-    n = len(u)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                d = u[i] - u[j]
-                g[i] -= np.sign(d) / d ** 2
-    return g
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    return u - np.sum(np.sign(d) / d ** 2, axis=1)
 
 
 def _dimensionless_hessian(u: np.ndarray) -> np.ndarray:
-    n = len(u)
-    a = np.eye(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(n):
-            if j != i:
-                d3 = abs(u[i] - u[j]) ** 3
-                a[i, j] = -2.0 / d3
-                s += 2.0 / d3
-        a[i, i] = 1.0 + s
+    d3 = np.abs(u[:, None] - u[None, :]) ** 3
+    np.fill_diagonal(d3, np.inf)
+    a = -2.0 / d3
+    np.fill_diagonal(a, 1.0 - np.sum(a, axis=1))
     return a
 
 
@@ -158,16 +148,18 @@ def axial_hessian(trap: TrapSpec, positions: np.ndarray) -> np.ndarray:
     return trap.axial_frequency ** 2 * _dimensionless_hessian(u)
 
 
+@functools.lru_cache
 def normal_modes(trap: TrapSpec) -> CrystalModes:
-    """Equilibrium, mode frequencies (ascending) and orthonormal vectors."""
+    """Equilibrium, mode frequencies (ascending) and orthonormal vectors;
+    solved once per trap, so equal TrapSpecs share one read-only result."""
     u = equilibrium_positions(trap)
     lam, vecs = np.linalg.eigh(_dimensionless_hessian(u))
     b = vecs.T.copy()
     # fix the sign gauge: dominant component of each mode positive
-    for m in range(trap.n_ions):
-        if b[m, np.argmax(np.abs(b[m]))] < 0:
-            b[m] *= -1.0
+    b *= np.sign(b[np.arange(len(b)), np.argmax(np.abs(b), 1)])[:, None]
     freqs = trap.axial_frequency * np.sqrt(lam)
+    for arr in (u, freqs, b):
+        arr.setflags(write=False)
     return CrystalModes(positions=u, frequencies=freqs, vectors=b)
 
 

@@ -403,6 +403,33 @@ class TestFourIonTable:
             assert st_c.pair == st_g.pair
             assert abs(st_c.fidelity - st_g.fidelity) < 1e-9
 
+    def test_ordered_mirror_pairs_agree(self):
+        # reflecting the chain maps (i, j) to (n-1-i, n-1-j): qubit 0 stays
+        # on the reflected image of its ion, and the row is unchanged
+        trap4 = calibrate.default_four_ion_trap()
+        cutoffs = (14, 6, 6, 6)
+        thermal = hilbert.equal_temperature_ensemble(
+            0.3, crystal.normal_modes(trap4).frequencies, cutoffs)
+        space = hilbert.SpaceSpec(2, cutoffs)
+
+        def row(p):
+            mu = calibrate.corrected_drive_frequency(trap4, p, W_TW_TABLE,
+                                                     DELTA)
+            cfg = drive.GateConfig(trap=trap4, pair=p,
+                                   tweezer_frequency=W_TW_TABLE,
+                                   field_amplitude=2.69e-4, detuning=DELTA,
+                                   drive_frequency=mu)
+            return mu, metric.fidelity_report(cfg, thermal, space,
+                                               backend="gaussian").fidelity
+
+        n = trap4.n_ions
+        for label in calibrate.PAIR_LABELS:
+            i, j = label[0] - 1, label[1] - 1
+            mu_a, f_a = row((i, j))
+            mu_b, f_b = row((n - 1 - i, n - 1 - j))
+            assert abs(mu_a - mu_b) <= 1e-12 * mu_a
+            assert abs(f_a - f_b) < 1e-12
+
     @pytest.mark.xfail(strict=True, reason=(
         "not mirror symmetric: the corrected drive frequencies of chain "
         "pairs (1,2) and (3,4) differ by 29 rad/s, and with one drive "

@@ -9,6 +9,7 @@ import pytest
 import scipy.constants as const
 import scipy.optimize
 
+from tweezergate import crystal
 from tweezergate.crystal import (
     CrystalModes,
     TrapSpec,
@@ -48,6 +49,57 @@ def minimize_oracle(n):
                                   options={"gtol": 1e-12})
     u = np.sort(res.x)
     return u - np.mean(u)
+
+
+def potential_gradient_ref(u):
+    """Force balance one ion pair at a time."""
+    g = u.copy()
+    n = len(u)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                d = u[i] - u[j]
+                g[i] -= np.sign(d) / d ** 2
+    return g
+
+
+def dimensionless_hessian_ref(u):
+    """Hessian one ion pair at a time."""
+    n = len(u)
+    a = np.eye(n)
+    for i in range(n):
+        s = 0.0
+        for j in range(n):
+            if j != i:
+                d3 = abs(u[i] - u[j]) ** 3
+                a[i, j] = -2.0 / d3
+                s += 2.0 / d3
+        a[i, i] = 1.0 + s
+    return a
+
+
+class TestVectorizedChain:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 50])
+    def test_gradient_and_hessian_match_loops(self, n):
+        # at the equilibrium and at a perturbed, unsorted configuration
+        rng = np.random.default_rng(n)
+        u_eq = equilibrium_positions(trap(n))
+        for u in (u_eq, rng.permutation(u_eq + 0.05 * rng.normal(size=n))):
+            np.testing.assert_allclose(crystal._potential_gradient(u),
+                                       potential_gradient_ref(u),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(crystal._dimensionless_hessian(u),
+                                       dimensionless_hessian_ref(u),
+                                       rtol=1e-13, atol=0)
+
+    def test_modes_solved_once_per_trap(self):
+        # equal TrapSpecs share one result, which nobody can modify
+        a = normal_modes(trap(5))
+        assert normal_modes(trap(5)) is a
+        for arr in (a.positions, a.frequencies, a.vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert normal_modes(trap(5, 1.1 * W)) is not a
 
 
 class TestEquilibrium:

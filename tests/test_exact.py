@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweezergate import _exact
+from tweezergate import calibrate
 from tweezergate import cli
+from tweezergate import crystal
+from tweezergate import drive
 from tweezergate import evolve
 
 # ---------------------------------------------------------------------------
@@ -119,10 +122,37 @@ def config_generators_ref(setup, si, sj):
                 gens.append((v if t_map is None else t_map.T @ v, phase))
         if p < len(path) - 1:
             s_p = _exact.static_heisenberg_map(
-                setup.ws, k_mat, setup.tau, p * setup.tau,
-                (p + 1) * setup.tau)
+                setup.ws, _exact.normal_form(setup.ws, k_mat), setup.tau,
+                p * setup.tau, (p + 1) * setup.tau)
             t_map = s_p if t_map is None else s_p @ t_map
     return gens
+
+
+def full_j_phase(t1, t2, coef):
+    """Commutator phase of each segment read off the full (2N)^2 second
+    moment matrix: the same-mode diagonals J[k, N+k] and J[N+k, k]."""
+    n = coef.beta.shape[-2] // 2
+    j = _exact.double_moment(coef, t1, t2)
+    jkl = np.diagonal(j[..., :n, n:], axis1=-2, axis2=-1)
+    jlk = np.diagonal(j[..., n:, :n], axis1=-2, axis2=-1)
+    return np.sum(np.real(-0.5j * (jkl - jlk)), axis=-1)
+
+
+def full_j_phase_scale(t1, t2, coef):
+    """Magnitude of the terms full_j_phase sums: every piece pair's int_j
+    scale (see intj_scale) times its coefficient products."""
+    th = coef.theta
+    tha, thb = th[..., :, None], th[..., None, :]
+    t1, t2 = t1[:, None, None], t2[:, None, None]
+    big = np.abs(thb * (t2 - t1)) >= 1e-8
+    scale = np.abs(_exact.int_j(tha, thb, t1, t2)) + np.where(
+        big, (np.abs(_exact.int0(tha + thb, t1, t2))
+              + np.abs(_exact.int0(tha, t1, t2)))
+        / np.abs(np.where(big, thb, 1.0)), 0.0)
+    n = coef.beta.shape[-2] // 2
+    a, ad = np.abs(coef.beta[:, :n]), np.abs(coef.beta[:, n:])
+    m = np.swapaxes(a, -1, -2) @ ad + np.swapaxes(ad, -1, -2) @ a
+    return 0.5 * np.sum(scale * m, axis=(-2, -1))
 
 
 def static_heisenberg_map_ref(ws, k_mat, dt, t_a, t_b):
@@ -248,6 +278,35 @@ def test_batched_segments_match_single():
         np.testing.assert_allclose(m0[s], one.m0(t1[s], t2[s]), rtol=1e-13)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(),
+       ratio=st.floats(0.02, 0.3), detuning_khz=st.floats(-5.0, -0.3),
+       ramp=st.sampled_from((0.0, 0.016, 0.25)))
+def test_block_phase_matches_full_j(n, data, ratio, detuning_khz, ramp):
+    # the per-dressed-mode phase equals the one read off the full J, on
+    # every driven pulse of every configuration, with all modes retained
+    pair = (0, 1) if n == 1 else tuple(data.draw(
+        st.permutations(range(n)))[:2])
+    trap = crystal.TrapSpec(max(n, 2), calibrate.YB171_MASS_KG,
+                            calibrate.DEFAULT_COM_FREQUENCY)
+    cfg = drive.GateConfig(
+        trap=trap, pair=pair, field_amplitude=2.69e-4,
+        tweezer_frequency=ratio * trap.axial_frequency,
+        detuning=2 * np.pi * 1e3 * detuning_khz, ramp_fraction=ramp)
+    setup = _exact.setup_from_config(
+        cfg, crystal.normal_modes(trap).restrict(range(n)))
+    for si, sj in _exact.CONFIG_S:
+        path = _exact.path_of(si, sj, setup.echo_schedule,
+                              setup.pulse_count)
+        for p in setup.field_pulses:
+            dressed = _exact.normal_form(setup.ws, setup.coupling(*path[p]))
+            t1, t2, coef = _exact.pulse_segment_coefs(setup, dressed,
+                                                      p * setup.tau)
+            _, phase = _exact.segment_generators(t1, t2, coef)
+            assert_rel(phase, full_j_phase(t1, t2, coef),
+                       full_j_phase_scale(t1, t2, coef))
+
+
 # ---------------------------------------------------------------------------
 # engine against the scalar reference
 
@@ -282,8 +341,9 @@ def test_static_heisenberg_map_matches_loops(name):
     setup, _ = preset_setup(name)
     for si, sj in _exact.CONFIG_S:
         k_mat = setup.coupling(si, sj)
-        got = _exact.static_heisenberg_map(setup.ws, k_mat, 1.3e-4, 2e-5,
-                                           1.5e-4)
+        got = _exact.static_heisenberg_map(
+            setup.ws, _exact.normal_form(setup.ws, k_mat), 1.3e-4, 2e-5,
+            1.5e-4)
         want = static_heisenberg_map_ref(setup.ws, k_mat, 1.3e-4, 2e-5,
                                          1.5e-4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -296,11 +356,11 @@ def test_static_heisenberg_map_batches_offsets(name):
     t_a = 2 * setup.tau
     dts = np.append(np.arange(1, 201) * setup.tau / 200, setup.tau)
     for si, sj in _exact.CONFIG_S:
-        k_mat = setup.coupling(si, sj)
-        got = _exact.static_heisenberg_map(setup.ws, k_mat, dts, t_a,
+        dressed = _exact.normal_form(setup.ws, setup.coupling(si, sj))
+        got = _exact.static_heisenberg_map(setup.ws, dressed, dts, t_a,
                                            t_a + dts)
         assert got.shape == (len(dts), 2 * setup.n_modes, 2 * setup.n_modes)
         for dt, s_dt in zip(dts[::23], got[::23]):
-            want = _exact.static_heisenberg_map(setup.ws, k_mat, dt, t_a,
+            want = _exact.static_heisenberg_map(setup.ws, dressed, dt, t_a,
                                                 t_a + dt)
             np.testing.assert_allclose(s_dt, want, rtol=0, atol=1e-13)
