@@ -16,11 +16,14 @@ The channel only needs the propagator relative to the field-free
 reference. Conjugating the late displacement factors through the
 intervening static factors via their exact Heisenberg action on
 xi = (a_1..a_N, a^dag_1..a^dag_N) cancels every static factor, leaving a
-pure product of displacements. Three equivalent materializations are
-provided: 'gaussian' (scalar displacement composition, exact, no Hilbert
-space), dense truncated operators, and per-mode d_m x d_m factors; plus
-an independent check, ode_wmat, that integrates the driven pulses with
-the package's ODE solver (evolve.hamiltonian_terms, evolve._integrate).
+pure product of displacements. Two materializations are provided:
+'gaussian' (scalar displacement composition, exact, no Hilbert space) and
+column_wmat on the truncated Fock space, from per-mode d_m x d_m factors;
+plus an independent check, ode_wmat, that integrates the driven pulses
+with the package's ODE solver (evolve.hamiltonian_terms,
+evolve._integrate) against the field-free reference of the same compiled
+Hamiltonian. dense_wmat, with dense product-space propagators, is kept
+as the test oracle of column_wmat.
 """
 from __future__ import annotations
 
@@ -427,26 +430,6 @@ def gaussian_wmat(setup: SequenceSetup, nbars):
 # ---------------------------------------------------------------------------
 # truncated-operator materializations
 
-class ModeOps:
-    """Dense kron-factored ladder operators for a list of mode dimensions."""
-
-    def __init__(self, dims):
-        self.dims = list(dims)
-        self.n_modes = len(dims)
-        self.dim = int(np.prod(dims))
-        self.a = []
-        for m, d in enumerate(dims):
-            mats = [np.eye(k) for k in dims]
-            mats[m] = np.diag(np.sqrt(np.arange(1, d)), 1)
-            full = mats[0]
-            for k in range(1, self.n_modes):
-                full = np.kron(full, mats[k])
-            self.a.append(full)
-        self.ad = [m.conj().T for m in self.a]
-        self.nvec = [np.real(np.diag(self.ad[m] @ self.a[m]))
-                     for m in range(self.n_modes)]
-
-
 def expm_herm(h):
     """exp(-i h) for (stacked) Hermitian h via eigendecomposition."""
     vals, vecs = np.linalg.eigh(h)
@@ -454,41 +437,47 @@ def expm_herm(h):
         @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def dense_u_rel(gens, ops: ModeOps):
-    """Materialize the displacement product on a truncated Fock space."""
-    n = ops.n_modes
-    u = np.eye(ops.dim, dtype=complex)
+def _weighted_columns(dims, weights):
+    """Indices and weights of the Fock columns with nonzero thermal weight;
+    weights is the probability vector over product Fock states
+    (lexicographic)."""
+    w_arr = np.asarray(weights, float)
+    if w_arr.shape != (int(np.prod(dims)),):
+        raise ValueError("weight vector does not match the mode space")
+    idx = np.flatnonzero(w_arr > 0.0)
+    return idx, w_arr[idx]
+
+
+def _thermal_wmat(cols, weights):
+    """W[c, c'] = sum_n p_n <n|U_c'^dag U_c|n> from the columns U_c|n> of
+    four mode propagators and their weights p_n."""
+    cols = np.asarray(cols)
+    return np.einsum("dik,cik,k->cd", np.conj(cols), cols, weights)
+
+
+def dense_u_rel(gens, dims):
+    """Displacement product on the truncated Fock space, with dense copies
+    of the product-space ladders: the test oracle of mode_factors."""
+    a_ops = [a.toarray() for a in sparse_ladders(dims)[0]]
+    n = len(dims)
+    u = np.eye(int(np.prod(dims)), dtype=complex)
     for v, ph in gens:
-        h = np.zeros((ops.dim, ops.dim), dtype=complex)
-        for m in range(n):
+        h = np.zeros_like(u)
+        for m, a in enumerate(a_ops):
             # enforce Hermitian pairing against roundoff of the mapping
             vad = 0.5 * (v[n + m] + np.conj(v[m]))
-            if vad != 0.0:
-                h += vad * ops.ad[m] + np.conj(vad) * ops.a[m]
+            h += vad * a.T + np.conj(vad) * a
         u = np.exp(-1j * ph) * (expm_herm(h) @ u)
     return u
 
 
 def dense_wmat(setup: SequenceSetup, dims, weights):
-    """Channel matrix from dense truncated propagators; weights is the
-    probability vector over product Fock states (lexicographic)."""
-    ops = ModeOps(dims)
-    w_arr = np.asarray(weights, float)
-    if w_arr.shape != (ops.dim,):
-        raise ValueError("weight vector does not match the mode space")
-    us = [dense_u_rel(config_generators(setup, si, sj), ops)
+    """Channel matrix from dense truncated propagators, the test oracle of
+    column_wmat; returns (W, us) with us[c] the full propagator."""
+    idx, p = _weighted_columns(dims, weights)
+    us = [dense_u_rel(config_generators(setup, si, sj), dims)
           for si, sj in CONFIG_S]
-    return _thermal_wmat(us, w_arr), us
-
-
-def _thermal_wmat(us, weights):
-    """W[c, c'] = sum_n p_n <n|U_c'^dag U_c|n> of four mode propagators."""
-    w = np.zeros((4, 4), dtype=complex)
-    for c in range(4):
-        for cp in range(4):
-            diag = np.sum(np.conj(us[cp]) * us[c], axis=0)
-            w[c, cp] = np.sum(weights * diag)
-    return w
+    return _thermal_wmat([u[:, idx] for u in us], p), us
 
 
 def sparse_ladders(dims):
@@ -528,14 +517,11 @@ def mode_factors(gens, dims):
     return us, sum(ph for _, ph in gens)
 
 
-def column_wmat(setup: SequenceSetup, dims, weights, weight_floor=0.0):
-    """Channel matrix over the Fock columns with weight above weight_floor:
+def column_wmat(setup: SequenceSetup, dims, weights):
+    """Channel matrix over the Fock columns of nonzero thermal weight:
     <n|U_c'^dag U_c|n> = e^{i(phase_c' - phase_c)}
     prod_m (u_c'm^dag u_cm)[n_m, n_m] with mode_factors u, phase."""
-    w_arr = np.asarray(weights, float)
-    if w_arr.shape != (int(np.prod(dims)),):
-        raise ValueError("weight vector does not match the mode space")
-    idx = np.flatnonzero(w_arr > weight_floor)
+    idx, p = _weighted_columns(dims, weights)
     factors, phases = zip(*(mode_factors(config_generators(setup, si, sj),
                                          dims) for si, sj in CONFIG_S))
     overlap = np.ones((4, 4, len(idx)), dtype=complex)
@@ -543,7 +529,7 @@ def column_wmat(setup: SequenceSetup, dims, weights, weight_floor=0.0):
         u = np.array([us[m] for us in factors])
         overlap *= np.einsum("djk,cjk->cdk", np.conj(u), u)[:, :, n_m]
     phases = np.array(phases)
-    return np.exp(1j * (phases - phases[:, None])) * (overlap @ w_arr[idx])
+    return np.exp(1j * (phases - phases[:, None])) * (overlap @ p)
 
 
 # ---------------------------------------------------------------------------
@@ -630,31 +616,22 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
 # ---------------------------------------------------------------------------
 # direct integration backend
 
-def static_reference(setup: SequenceSetup, k_mat, t_a, ops: ModeOps):
-    """Exact bare-frame propagator of one field-free pulse."""
-    ws = np.asarray(setup.ws, float)
-    h0 = np.zeros((ops.dim, ops.dim))
-    for m in range(ops.n_modes):
-        h0 += ws[m] * np.diag(ops.nvec[m] + 0.5)
-    for m in range(ops.n_modes):
-        for n in range(ops.n_modes):
-            if k_mat[m, n] != 0.0:
-                x_m = ops.a[m] + ops.ad[m]
-                x_n = ops.a[n] + ops.ad[n]
-                h0 += (0.25 * k_mat[m, n] / math.sqrt(ws[m] * ws[n])) \
-                    * (x_m @ x_n)
-    vals, vecs = np.linalg.eigh(h0)
-    u_stat = (vecs * np.exp(-1j * vals * setup.tau)) @ vecs.conj().T
-
-    def rdiag(t):
-        ph = np.zeros(ops.dim)
-        for m in range(ops.n_modes):
-            ph += ws[m] * (ops.nvec[m] + 0.5) * t
-        return np.exp(1j * ph)
-
-    u = (rdiag(t_a + setup.tau)[:, None] * u_stat) * \
-        rdiag(t_a).conj()[None, :]
-    return u
+def field_free_propagators(setup: SequenceSetup, dims, h, t_a):
+    """Bare-frame propagators R(t_a + tau) exp(-i H0 tau) R(t_a)^dag of a
+    field-free pulse starting at t_a, one per block of the compiled
+    Hamiltonian h (evolve.hamiltonian_terms): H0 = sum_m w_m n_m + h(0),
+    R(t) = exp(i sum_m w_m n_m t), each block diagonalized once."""
+    n_blocks = h.static.shape[0]
+    e_bare = np.asarray(setup.ws, float) @ np.indices(dims).reshape(
+        len(dims), -1)
+    h_tw = h.stacked()(0.0).toarray().reshape(n_blocks, h.dim, n_blocks,
+                                              h.dim)
+    vals, vecs = np.linalg.eigh(np.einsum("aiaj->aij", h_tw)
+                                + np.diag(e_bare))
+    u = (vecs * np.exp(-1j * setup.tau * vals)[:, None, :]) \
+        @ np.conj(np.swapaxes(vecs, 1, 2))
+    return (np.exp(1j * e_bare * (t_a + setup.tau))[:, None] * u) \
+        * np.exp(-1j * e_bare * t_a)
 
 
 def ode_wmat(setup: SequenceSetup, dims, weights, rtol=1e-9, max_step=None):
@@ -662,32 +639,33 @@ def ode_wmat(setup: SequenceSetup, dims, weights, rtol=1e-9, max_step=None):
 
     The four qubit configurations are the blocks of one matrix-valued ODE
     per driven pulse (evolve.hamiltonian_terms, block c following
-    configuration c's spin path); field-free pulses are applied in closed
-    form. Returns (W, us) with us[c] the reference-relative propagator.
+    configuration c's spin path), which carries only the Fock columns of
+    nonzero thermal weight; field-free pulses are applied in closed form.
+    Returns (W, us) with us[c] the columns of the reference-relative
+    propagator at those Fock states.
     """
     from . import evolve as _evolve
 
-    ops = ModeOps(dims)
+    idx, p = _weighted_columns(dims, weights)
+    dim = int(np.prod(dims))
     paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
              for si, sj in CONFIG_S]
     if max_step is None:
         max_step = (2.0 * math.pi / setup.mu) / 20.0
-    eye = np.eye(ops.dim, dtype=complex)
-    u_full = np.array([eye] * 4)
-    u_ref = np.array([eye] * 4)
-    for p in range(setup.pulse_count):
-        cfgs = [path[p] for path in paths]
-        t_a = p * setup.tau
-        u_stat = np.array([static_reference(setup, setup.coupling(*cfg), t_a,
-                                            ops) for cfg in cfgs])
+    u_full = np.array([np.eye(dim, dtype=complex)[:, idx]] * 4)
+    u_ref = np.array([np.eye(dim, dtype=complex)] * 4)
+    for pulse in range(setup.pulse_count):
+        t_a = pulse * setup.tau
+        h = _evolve.hamiltonian_terms(setup, dims,
+                                      [path[pulse] for path in paths])
+        u_stat = field_free_propagators(setup, dims, h, t_a)
         u_ref = u_stat @ u_ref
-        if p in setup.field_pulses and setup.gamma != 0.0:
-            h = _evolve.hamiltonian_terms(setup, dims, cfgs)
-            u_pulse = _evolve._integrate(
-                h.stacked(t_a), np.vstack([eye] * 4), t_a, t_a + setup.tau,
-                rtol, max_step, atol=1e-12)
-            u_full = u_pulse.reshape(4, ops.dim, ops.dim) @ u_full
+        if pulse in setup.field_pulses and setup.gamma != 0.0:
+            u_full = _evolve._integrate(
+                h.stacked(t_a), u_full.reshape(4 * dim, -1), t_a,
+                t_a + setup.tau, rtol, max_step,
+                atol=1e-12)[:, -1].reshape(u_full.shape)
         else:
             u_full = u_stat @ u_full
-    us = list(np.conj(np.swapaxes(u_ref, 1, 2)) @ u_full)
-    return _thermal_wmat(us, np.asarray(weights, float)), us
+    us = np.conj(np.swapaxes(u_ref, 1, 2)) @ u_full
+    return _thermal_wmat(us, p), list(us)

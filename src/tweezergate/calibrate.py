@@ -200,7 +200,9 @@ def corrected_drive_frequency(trap: crystal.TrapSpec, pair,
 # raise it whenever a change moves any backend's results. 2: the ODE
 # backend integrates the four qubit configurations as one stacked system.
 # 3: the column backend composes per-mode factors. 4: per-dressed-mode phase.
-ENGINE_VERSION = 4
+# 5: fock runs on the per-mode factors; the ODE reference comes from the
+# compiled Hamiltonian.
+ENGINE_VERSION = 5
 
 
 def config_hash(config: drive.GateConfig, nbar, cutoffs,
@@ -240,13 +242,9 @@ def _point_inputs(spec: SweepSpec, value: float):
         nbar_com = value
     else:
         cfg = dataclasses.replace(cfg, **{spec.axis: value})
-    if len(spec.cutoffs) == 1:
-        thermal = hilbert.ThermalEnsemble((nbar_com,), spec.cutoffs)
-    else:
-        freqs = crystal.normal_modes(cfg.trap).restrict(
-            range(len(spec.cutoffs))).frequencies
-        thermal = hilbert.equal_temperature_ensemble(nbar_com, freqs,
-                                                     spec.cutoffs)
+    thermal = hilbert.equal_temperature_ensemble(
+        nbar_com, crystal.normal_modes(cfg.trap).frequencies[
+            :len(spec.cutoffs)], spec.cutoffs)
     return cfg, thermal
 
 
@@ -311,7 +309,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
     """Evaluate the sweep, one SweepPoint per grid value, in grid order.
 
     Points run independently (in a process pool when jobs > 1); a failing
-    point carries its error without aborting the rest.  With cache_dir
+    point carries its error without aborting the rest, and so does every
+    point left without a result when a worker process dies.  With cache_dir
     set, each point is stored as JSON keyed by its parameter hash as soon
     as it finishes, and later runs reuse it, so interrupted sweeps resume.
     """
@@ -346,9 +345,15 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
     if jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs) as pool:
-            futures = [pool.submit(_point_worker, args) for args in pending]
+            futures = {pool.submit(_point_worker, args): args[0]
+                       for args in pending}
             for fut in concurrent.futures.as_completed(futures):
-                finish(*fut.result())
+                try:
+                    result = fut.result()
+                except concurrent.futures.BrokenExecutor as exc:
+                    result = (futures[fut], None,
+                              f"{type(exc).__name__}: {exc}")
+                finish(*result)
     else:
         for args in pending:
             finish(*_point_worker(args))

@@ -169,15 +169,14 @@ def build_inputs(doc: dict) -> RunInputs:
                                  "positions")
             pair0 = (pair[0] - 1, pair[1] - 1)
         cutoffs = tuple(int(c) for c in d["mode_cutoffs"])
+        if len(cutoffs) > n:
+            raise ValueError(f"mode_cutoffs lists {len(cutoffs)} modes, but "
+                             f"the {n}-ion crystal has {n}")
         space = hilbert.SpaceSpec(2, cutoffs)
         nbar_com = float(d["nbar_com"])
-        if len(cutoffs) == 1:
-            thermal = hilbert.ThermalEnsemble((nbar_com,), cutoffs)
-        else:
-            freqs = crystal.normal_modes(trap).restrict(
-                range(len(cutoffs))).frequencies
-            thermal = hilbert.equal_temperature_ensemble(nbar_com, freqs,
-                                                         cutoffs)
+        thermal = hilbert.equal_temperature_ensemble(
+            nbar_com, crystal.normal_modes(trap).frequencies[:len(cutoffs)],
+            cutoffs)
         if thermal.tail_weight() > 1e-4:
             raise ValueError(
                 f"thermal occupation nbar_com = {nbar_com} loses weight "

@@ -1,11 +1,12 @@
-"""Gate drive assembly: pulse configuration, interaction-picture Hamiltonian
-factories, and the analytic effective model.
+"""Gate drive assembly: pulse configuration, field envelope, coupling rate,
+drive frequency, and the analytic effective model.
 
-Frame convention: everything here lives in the interaction picture with
-respect to the bare phonon Hamiltonian sum_m w_m (a_m^dag a_m + 1/2), so
-ladder operators carry explicit e^{+-i w_m t} phases. The spin-dependent
+Frame convention: the simulated Hamiltonian (compiled by
+evolve.hamiltonian_terms) lives in the interaction picture with respect
+to the bare phonon Hamiltonian sum_m w_m (a_m^dag a_m + 1/2), so ladder
+operators carry explicit e^{+-i w_m t} phases. The spin-dependent
 tweezer term is kept to all orders (cross-mode couplings included); no
-rotating-wave approximation is applied to the simulated Hamiltonian.
+rotating-wave approximation is applied to it.
 
 The detuning stored in GateConfig is measured from the tweezer-shifted COM
 frequency of the addressed pair (mixed spin configuration); the pulse
@@ -21,10 +22,8 @@ import warnings
 
 import numpy as np
 import scipy.constants as const
-import scipy.sparse as sp
 
 from . import crystal as _crystal
-from . import hilbert as _hilbert
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,17 +89,6 @@ class GateConfig:
     def total_time(self) -> float:
         return self.pulse_count * self.pulse_duration
 
-    def resolved_drive_frequency(self) -> float:
-        """drive_frequency if set, else tweezer-shifted COM frequency of the
-        addressed pair (mixed spin configuration, exact diagonalization) plus
-        the detuning; see crystal.drive_frequency_correction."""
-        if self.drive_frequency is not None:
-            return self.drive_frequency
-        pert = _crystal.TweezerPerturbation(
-            self.tweezer_frequency, self.pair, (1, -1))
-        corr = _crystal.drive_frequency_correction(self.trap, pert)
-        return self.trap.axial_frequency - corr + self.detuning
-
 
 @dataclasses.dataclass(frozen=True)
 class EffectiveModel:
@@ -150,91 +138,6 @@ def ramp_envelope(t, tau, ramp_time):
         shape = np.sin(0.5 * np.pi * np.minimum(edge / ramp_time, 1.0)) ** 2
     out = np.where(edge >= 0.0, shape, 0.0)
     return out if t.ndim else float(out)
-
-
-def _mode_space(space: _hilbert.SpaceSpec) -> _hilbert.SpaceSpec:
-    return _hilbert.SpaceSpec(0, space.mode_cutoffs)
-
-
-def _mode_ladders(space: _hilbert.SpaceSpec):
-    msp = _mode_space(space)
-    ladders = []
-    for m, cut in enumerate(space.mode_cutoffs):
-        a, ad = _hilbert.ladder_operators(cut)
-        ladders.append((_hilbert.embed(a, ("mode", m), msp),
-                        _hilbert.embed(ad, ("mode", m), msp)))
-    return ladders
-
-
-def tweezer_hamiltonian(modes: _crystal.CrystalModes, pair, tweezer_frequency,
-                        space: _hilbert.SpaceSpec):
-    """Interaction-picture spin-dependent tweezer coupling as a factory t ->
-    sparse operator on the composite (pair qubits) x (retained modes) space.
-
-    Implements, per addressed ion, sigma_z times
-    sum_mn w_tw^2 b_m b_n / (4 sqrt(w_m w_n)) x_m(t) x_n(t) with
-    x_m(t) = a_m e^{-i w_m t} + h.c.; cross-mode (m != n) terms included.
-    Mode 0 of the space corresponds to row 0 of modes, and so on.
-    """
-    n_modes = modes.vectors.shape[0]
-    if space.n_modes != n_modes:
-        raise ValueError("space must carry one mode per retained crystal "
-                         "mode")
-    if space.n_qubits != 2:
-        raise ValueError("composite space must hold the two addressed qubits")
-    i, j = pair
-    if not (0 <= i < modes.n_ions and 0 <= j < modes.n_ions and i != j):
-        raise ValueError("pair index out of range for crystal")
-    freqs = modes.frequencies
-    ladders = _mode_ladders(space)
-    mode_dim = space.mode_dim
-    # sigma_z on each addressed qubit, as diagonal 4x4 blocks
-    z_i = sp.kron(sp.csr_matrix(_hilbert.SIGMA_Z), sp.identity(2),
-                  format="csr")
-    z_j = sp.kron(sp.identity(2), sp.csr_matrix(_hilbert.SIGMA_Z),
-                  format="csr")
-    coef = {}
-    for ion, zop in ((i, z_i), (j, z_j)):
-        b = modes.vectors[:, ion]
-        k = tweezer_frequency ** 2 * np.outer(b, b)
-        coef[ion] = k / (4.0 * np.sqrt(np.outer(freqs, freqs)))
-
-    def factory(t: float) -> sp.csr_matrix:
-        xs = [a * np.exp(-1j * w * t) + ad * np.exp(1j * w * t)
-              for (a, ad), w in zip(ladders, freqs)]
-        h = sp.csr_matrix((4 * mode_dim, 4 * mode_dim), dtype=complex)
-        for ion, zop in ((i, z_i), (j, z_j)):
-            q = sp.csr_matrix((mode_dim, mode_dim), dtype=complex)
-            for m in range(n_modes):
-                for n in range(n_modes):
-                    q = q + coef[ion][m, n] * (xs[m] @ xs[n])
-            h = h + sp.kron(zop, q, format="csr")
-        return h.tocsr()
-
-    return factory
-
-
-def field_hamiltonian(gamma: float, drive_frequency: float,
-                      space: _hilbert.SpaceSpec, com_frequency: float):
-    """Interaction-picture homogeneous-field coupling as a factory t ->
-    sparse operator: 2 gamma cos(mu t) (a_com e^{-i w_com t} + h.c.),
-    identity on qubits and on every non-COM mode. The COM normal coordinate
-    is mode 0 of the space."""
-    if space.n_modes < 1:
-        raise ValueError("space carries no COM mode")
-    a, ad = _hilbert.ladder_operators(space.mode_cutoffs[0])
-    msp = _mode_space(space)
-    a_full = _hilbert.embed(a, ("mode", 0), msp)
-    ad_full = _hilbert.embed(ad, ("mode", 0), msp)
-    iq = sp.identity(space.qubit_dim, format="csr")
-
-    def factory(t: float) -> sp.csr_matrix:
-        amp = 2.0 * gamma * np.cos(drive_frequency * t)
-        x = a_full * np.exp(-1j * com_frequency * t) + \
-            ad_full * np.exp(1j * com_frequency * t)
-        return sp.kron(iq, amp * x, format="csr")
-
-    return factory
 
 
 def resolve_drive_frequency(config: GateConfig,

@@ -347,8 +347,9 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
     The tweezer term is sum_mn K_mn / (4 sqrt(w_m w_n)) x_m(t) x_n(t) with
     K = setup.coupling(s_i, s_j); the field term is
     2 gamma cos(mu t) sum_m bcom_m x_m(t); x_m(t) = a_m e^{-i w_m t} + h.c.
-    Equals block c of drive.tweezer_hamiltonian plus envelope times
-    drive.field_hamiltonian. Terms that vanish in every block are dropped.
+    Equals block c of the literal composite-space tweezer term plus
+    envelope times the field term (tests/literal_hamiltonian.py). Terms
+    that vanish in every block are dropped.
     """
     ws = np.asarray(setup.ws, float)
     a_ops, ad_ops = _exact.sparse_ladders(dims)

@@ -29,22 +29,21 @@ from . import drive
 from . import evolve
 from . import hilbert
 
-_SIGMA_1 = {
-    "1": np.eye(2, dtype=complex),
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 _PAULI_ORDER = ("1", "x", "y", "z")
+_SIGMA_1 = (np.eye(2, dtype=complex), hilbert.SIGMA_X, hilbert.SIGMA_Y,
+            hilbert.SIGMA_Z)
+_PAULI_STACK = np.array([np.kron(a, b) for a in _SIGMA_1 for b in _SIGMA_1])
+_PAULI_STACK.flags.writeable = False
+_PAULIS = tuple(_PAULI_STACK)  # read-only views
 
 _BACKENDS = ("gaussian", "fock", "column", "ode")
 _TAIL_LIMIT = 1e-4
 
 
 def paulis16():
-    """The 16 two-qubit Pauli operators in lexicographic order."""
-    return tuple(np.kron(_SIGMA_1[a], _SIGMA_1[b])
-                 for a in _PAULI_ORDER for b in _PAULI_ORDER)
+    """The 16 two-qubit Pauli operators in lexicographic order (shared,
+    read-only), with hilbert's sigma_z convention."""
+    return _PAULIS
 
 
 def pauli_labels():
@@ -94,18 +93,11 @@ class QuantumChannel:
         Positive semidefinite within tolerance for a physical channel and
         rank one exactly when the channel is unitary on the qubits.
         """
-        sigmas = paulis16()
-        choi = np.zeros((16, 16), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                eij = np.zeros((4, 4), dtype=complex)
-                # |i><j| = sum_l conj(sigma_l[i, j]) sigma_l / 4
-                for sig, img in zip(sigmas, self.images):
-                    eij += np.conj(sig[i, j]) * img / 4.0
-                unit = np.zeros((4, 4), dtype=complex)
-                unit[i, j] = 1.0
-                choi += np.kron(eij, unit)
-        return choi
+        # E(|i><j|) = sum_l conj(sigma_l[i, j]) E(sigma_l) / 4 is the
+        # block at rows 4a + i, columns 4b + j
+        choi = np.einsum("lij,lab->aibj", np.conj(_PAULI_STACK),
+                         np.array(self.images))
+        return choi.reshape(16, 16) / 4.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,40 +195,32 @@ def reconstruct_channel(config: drive.GateConfig,
                         space: hilbert.SpaceSpec,
                         backend: str = "fock",
                         tol: float = 1e-9,
-                        max_step=None,
-                        weight_floor: float = 0.0) -> QuantumChannel:
+                        max_step=None) -> QuantumChannel:
     """Thermal-averaged channel of the full echoed sequence.
 
-    Backends agree on the physics and differ in method and cost:
-    "fock" materializes dense truncated propagators (the reference),
-    "column" composes per-mode truncated factors and sums the Fock
-    columns with thermal weight above weight_floor, "ode" integrates the
-    driven pulses numerically, and "gaussian" evaluates the closed
-    displacement form (its thermal average is over the untruncated
-    ensemble, so it differs from the Fock-space backends at the size of
-    the truncated tail). tol and max_step are the "ode" integrator's;
-    max_step with another backend, or weight_floor with any but
-    "column", raises.
+    Backends agree on the physics and differ in method and cost: "fock"
+    and "column" are one method, the truncated Fock-space channel composed
+    from per-mode factors over the Fock columns of nonzero thermal weight
+    (_exact.column_wmat); "ode" integrates the driven pulses numerically;
+    "gaussian" evaluates the closed displacement form (its thermal average
+    is over the untruncated ensemble, so it differs from the Fock-space
+    backends at the size of the truncated tail). tol and max_step are the
+    "ode" integrator's; max_step with another backend raises.
     """
     if max_step is not None and backend != "ode":
         raise ValueError("max_step applies only to the ode backend")
-    if weight_floor != 0.0 and backend != "column":
-        raise ValueError("weight_floor applies only to the column backend")
     setup = _channel_setup(config, thermal, space)
     if backend == "gaussian":
         w, _ = _exact.gaussian_wmat(setup, thermal.nbar)
-    elif backend == "fock":
-        w, _ = _exact.dense_wmat(setup, space.mode_dims, thermal.weights())
-    elif backend == "column":
-        w = _exact.column_wmat(setup, space.mode_dims, thermal.weights(),
-                               weight_floor=weight_floor)
+    elif backend in ("fock", "column"):
+        w = _exact.column_wmat(setup, space.mode_dims, thermal.weights())
     elif backend == "ode":
         w, _ = _exact.ode_wmat(setup, space.mode_dims, thermal.weights(),
                                rtol=tol, max_step=max_step)
     else:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"choose from {_BACKENDS}")
-    images = tuple(sig * w for sig in paulis16())
+    images = tuple(sig * w for sig in _PAULIS)
     return QuantumChannel(images=images, overlaps=w, nbar=thermal.nbar,
                           cutoffs=space.mode_cutoffs, config=config,
                           backend=backend)
@@ -263,8 +247,7 @@ def channel_from_propagator(u: np.ndarray, config: drive.GateConfig,
     v = u.reshape(4, space.mode_dim, 4, space.mode_dim)
     # T[c, q, c', q'] = sum_n p_n tr_mot(U(|c><c'| kron |n><n|)U^dag)[q, q']
     t = np.einsum("qmcf,rmdf,f->cqdr", v, np.conj(v), p, optimize=True)
-    sigmas = paulis16()
-    images = tuple(np.einsum("cd,cqdr->qr", sig, t) for sig in sigmas)
+    images = tuple(np.einsum("cd,cqdr->qr", sig, t) for sig in _PAULIS)
     # restriction of T to qubit-diagonal blocks; equals W when U is
     # qubit-diagonal
     w = np.array([[t[c, c, cp, cp] for cp in range(4)] for c in range(4)])
@@ -369,7 +352,7 @@ def process_fidelity(channel: QuantumChannel, ideal) -> float:
     if np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-8:
         raise ValueError("reference gate must be unitary")
     tot = 0.0 + 0.0j
-    for sig, img in zip(paulis16(), channel.images):
+    for sig, img in zip(_PAULIS, channel.images):
         tot += np.trace(u @ sig.conj().T @ u.conj().T @ img)
     if abs(tot.imag) > 1e-8:
         raise ValueError("fidelity sum acquired an imaginary part; "

@@ -1,7 +1,11 @@
 """Calibration rules, frequency corrections, sweeps, and the pair study."""
 
+import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import time
 import warnings
 
 import numpy as np
@@ -348,6 +352,38 @@ class TestRunSweep:
         parallel = calibrate.run_sweep(spec, jobs=2)
         assert [p.report.as_dict() for p in serial] == \
                [p.report.as_dict() for p in parallel]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched point reaches forked workers "
+                               "only")
+    def test_crashed_worker_gives_errors(self, tmp_path, monkeypatch):
+        # a worker process that dies breaks the pool; the points without a
+        # result get errors, the finished ones keep reports and cache
+        # entries, and run_sweep returns normally
+        spec = calibrate.SweepSpec(
+            axis="tweezer_frequency",
+            grid=tuple(r * calibrate.DEFAULT_COM_FREQUENCY
+                       for r in (0.18, 0.20, 0.22, 0.24)),
+            config=config(), cutoffs=(10,))
+        real = calibrate._evaluate_point
+
+        def crash_last(spec_, value):
+            if value == spec.grid[-1]:
+                time.sleep(1.0)  # let the other points finish first
+                os._exit(1)
+            return real(spec_, value)
+
+        monkeypatch.setattr(calibrate, "_evaluate_point", crash_last)
+        cache = tmp_path / "cache"
+        pts = calibrate.run_sweep(spec, jobs=2, cache_dir=str(cache))
+        assert [p.ok for p in pts] == [True, True, True, False]
+        assert "BrokenProcessPool" in pts[-1].error
+        assert pts[-1].report is None
+        assert len(list(cache.iterdir())) == 3
+        serial = calibrate.run_sweep(
+            dataclasses.replace(spec, grid=spec.grid[:-1]))
+        assert [p.report.as_dict() for p in pts[:-1]] == \
+               [p.report.as_dict() for p in serial]
 
     def test_jobs_validation(self):
         spec = calibrate.SweepSpec(axis="nbar", grid=(0.0,),

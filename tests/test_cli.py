@@ -110,6 +110,10 @@ class TestBuildInputs:
         with pytest.raises(cli.ConfigError, match="mode_cutoffs"):
             cli.build_inputs(fig2_doc(nbar_com=1.0, mode_cutoffs=[3]))
 
+    def test_more_cutoffs_than_modes_rejected(self):
+        with pytest.raises(cli.ConfigError, match="the 2-ion crystal has 2"):
+            cli.build_inputs(fig2_doc(mode_cutoffs=[4, 4, 4]))
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(cli.ConfigError, match="backend"):
             cli.build_inputs(fig2_doc(backend="magic"))

@@ -4,8 +4,10 @@ import csv
 import numpy as np
 import pytest
 import scipy.constants as const
+import scipy.linalg
 import scipy.sparse as sp
 
+import literal_hamiltonian
 from tweezergate import _exact, crystal, drive, evolve, hilbert
 from tweezergate.evolve import (
     PulseRecord,
@@ -172,7 +174,7 @@ class TestSchedule:
 
 class TestHamiltonianTerms:
     """The compiled per-configuration Hamiltonian against the literal
-    composite-space H(t) of the drive module."""
+    composite-space H(t) of tests/literal_hamiltonian.py."""
 
     def setup_method(self):
         self.cfg = config(tweezer_frequency=0.2 * W)
@@ -183,9 +185,9 @@ class TestHamiltonianTerms:
 
     def literal(self, t, env):
         space, modes, cfg = self.space, self.modes, self.cfg
-        h_tw = drive.tweezer_hamiltonian(modes, cfg.pair,
-                                         cfg.tweezer_frequency, space)
-        h_field = drive.field_hamiltonian(
+        h_tw = literal_hamiltonian.tweezer_hamiltonian(
+            modes, cfg.pair, cfg.tweezer_frequency, space)
+        h_field = literal_hamiltonian.field_hamiltonian(
             self.setup.gamma, self.setup.mu, space,
             com_frequency=modes.frequencies[0])
         return (h_tw(t) + env * h_field(t)).toarray()
@@ -219,6 +221,34 @@ class TestHamiltonianTerms:
         h_on = self.h.stacked(3 * tau)(t).toarray()
         np.testing.assert_allclose(h_on, self.literal(t, env), rtol=0,
                                    atol=1e-9 * np.abs(h_on).max())
+
+    def test_field_free_propagator_matches_expm(self):
+        # the ODE backend's field-free reference, built from the compiled
+        # Hamiltonian, against expm(-i H0 tau) of the literal H0 = bare
+        # number diagonal + tweezer term, moved into the interaction
+        # picture of the pulse starting at t_a
+        space, dims = self.space, self.space.mode_dims
+        tau = self.setup.tau
+        t_a = 3 * tau
+        occ = np.indices(dims).reshape(len(dims), -1)
+        e_bare = np.tile(self.modes.frequencies @ occ, 4)
+        h_tw = literal_hamiltonian.tweezer_hamiltonian(
+            self.modes, self.cfg.pair, self.cfg.tweezer_frequency, space)
+        h0 = np.diag(e_bare) + h_tw(0.0).toarray()
+        want = (np.exp(1j * e_bare * (t_a + tau))[:, None]
+                * scipy.linalg.expm(-1j * tau * h0)) \
+            * np.exp(-1j * e_bare * t_a)
+        got = _exact.field_free_propagators(self.setup, dims, self.h, t_a)
+        d = space.mode_dim
+        for c in range(4):
+            blk = slice(c * d, (c + 1) * d)
+            np.testing.assert_allclose(got[c], want[blk, blk], rtol=0,
+                                       atol=1e-9)
+        # block diagonal in the configurations
+        off = want.copy()
+        for c in range(4):
+            off[c * d:(c + 1) * d, c * d:(c + 1) * d] = 0.0
+        assert np.abs(off).max() == 0.0
 
     def test_blocks_follow_configurations(self):
         # block c carries the tweezer of the configuration it is given

@@ -351,9 +351,13 @@ class TestReconstructChannel:
     def test_backends_agree(self, fig_point, fig_channel):
         cfg, space = fig_point
         th = hilbert.ThermalEnsemble((0.0,), (20,))
+        w_dense, _ = _exact.dense_wmat(_exact.setup_from_config(
+            cfg, evolve.retained_modes(cfg, space)), space.mode_dims,
+            th.weights())
         ch_col = metric.reconstruct_channel(cfg, th, space, backend="column")
-        np.testing.assert_allclose(ch_col.overlaps, fig_channel.overlaps,
-                                   atol=1e-12)
+        for ch in (fig_channel, ch_col):
+            np.testing.assert_allclose(ch.overlaps, w_dense, rtol=0,
+                                       atol=1e-12)
         ch_gau = metric.reconstruct_channel(cfg, th, space,
                                             backend="gaussian")
         assert np.max(np.abs(ch_gau.overlaps
@@ -364,7 +368,12 @@ class TestReconstructChannel:
         th = hilbert.ThermalEnsemble((0.6,), (20,))
         ch_f = metric.reconstruct_channel(cfg, th, space, backend="fock")
         ch_g = metric.reconstruct_channel(cfg, th, space, backend="gaussian")
-        u = metric.ideal_gate(cfg, evolve.retained_modes(cfg, space)).matrix
+        modes = evolve.retained_modes(cfg, space)
+        w_dense, _ = _exact.dense_wmat(_exact.setup_from_config(cfg, modes),
+                                       space.mode_dims, th.weights())
+        np.testing.assert_allclose(ch_f.overlaps, w_dense, rtol=0,
+                                   atol=1e-12)
+        u = metric.ideal_gate(cfg, modes).matrix
         f_f = metric.process_fidelity(ch_f, u)
         f_g = metric.process_fidelity(ch_g, u)
         assert abs(f_f - f_g) < 5e-6
@@ -390,7 +399,8 @@ class TestReconstructChannel:
         space = hilbert.SpaceSpec(2, (4,))
         setup = _exact.setup_from_config(
             cfg, evolve.retained_modes(cfg, space))
-        weights = hilbert.ThermalEnsemble((0.0,), (4,)).weights()
+        # every column weighted, so the whole propagator is integrated
+        weights = np.full(space.mode_dim, 1.0 / space.mode_dim)
         _, us = _exact.ode_wmat(setup, space.mode_dims, weights)
         assert len(us) == 4
         for u in us:
@@ -436,15 +446,6 @@ class TestReconstructChannel:
         w = np.array([[np.vdot(cols[cp], cols[c]) for cp in range(4)]
                       for c in range(4)])
         np.testing.assert_allclose(fig_channel.overlaps, w, atol=1e-10)
-
-    @pytest.mark.parametrize("backend", ["gaussian", "fock", "ode"])
-    def test_weight_floor_only_for_column(self, fig_point, backend):
-        cfg, _ = fig_point
-        space = hilbert.SpaceSpec(2, (4,))
-        th = hilbert.ThermalEnsemble((0.0,), (4,))
-        with pytest.raises(ValueError, match="weight_floor"):
-            metric.reconstruct_channel(cfg, th, space, backend=backend,
-                                       weight_floor=1e-6)
 
     def test_thermal_tail_rejected(self, fig_point):
         cfg, _ = fig_point
@@ -510,13 +511,14 @@ class TestColumnBackend:
         w_dense, _ = _exact.dense_wmat(setup, dims, p)
         np.testing.assert_allclose(w, w_dense, rtol=0, atol=1e-12)
 
-    def test_weight_floor_between_weights(self):
+    def test_zero_weight_columns_skipped(self):
         setup, dims, p = _thermal_multimode_point("table1")
         levels = np.unique(p)[::-1]
-        floor = 0.5 * (levels[3] + levels[4])
-        kept = np.flatnonzero(p > floor)
+        kept = np.flatnonzero(p > 0.5 * (levels[3] + levels[4]))
         assert 0 < len(kept) < len(p)
-        w = _exact.column_wmat(setup, dims, p, weight_floor=floor)
+        p_kept = np.zeros_like(p)
+        p_kept[kept] = p[kept]
+        w = _exact.column_wmat(setup, dims, p_kept)
         np.testing.assert_allclose(
             w, column_reference_wmat(setup, dims, p, kept),
             rtol=0, atol=1e-12)
@@ -526,7 +528,7 @@ class TestColumnBackend:
         setup, dims, _ = _thermal_multimode_point("fig3_twomode")
         gens = _exact.config_generators(setup, 1, -1)
         us, phase = _exact.mode_factors(gens, dims)
-        u_dense = _exact.dense_u_rel(gens, _exact.ModeOps(dims))
+        u_dense = _exact.dense_u_rel(gens, dims)
         np.testing.assert_allclose(np.exp(-1j * phase) * np.kron(*us),
                                    u_dense, rtol=0, atol=1e-12)
 
@@ -562,12 +564,11 @@ class TestChannelFromPropagator:
         th = hilbert.ThermalEnsemble((0.1,), (12,))
         setup = _exact.setup_from_config(
             cfg, evolve.retained_modes(cfg, space))
-        ops = _exact.ModeOps(space.mode_dims)
         u = np.zeros((space.dim, space.dim), dtype=complex)
         for c, (si, sj) in enumerate(_exact.CONFIG_S):
             gens = _exact.config_generators(setup, si, sj)
             blk = slice(c * space.mode_dim, (c + 1) * space.mode_dim)
-            u[blk, blk] = _exact.dense_u_rel(gens, ops)
+            u[blk, blk] = _exact.dense_u_rel(gens, space.mode_dims)
         ch_lit = metric.channel_from_propagator(u, cfg, th, space)
         ch_rec = metric.reconstruct_channel(cfg, th, space, backend="fock")
         np.testing.assert_allclose(ch_lit.overlaps, ch_rec.overlaps,
