@@ -19,11 +19,12 @@ xi = (a_1..a_N, a^dag_1..a^dag_N) cancels every static factor, leaving a
 pure product of displacements. Two materializations are provided:
 'gaussian' (scalar displacement composition, exact, no Hilbert space) and
 column_wmat on the truncated Fock space, from per-mode d_m x d_m factors;
-plus an independent check, ode_wmat, that integrates the driven pulses
-with the package's ODE solver (evolve.hamiltonian_terms,
-evolve._integrate) against the field-free reference of the same compiled
-Hamiltonian. dense_wmat, with dense product-space propagators, is kept
-as the test oracle of column_wmat.
+plus an independent check, ode_wmat. It and run_gate(backend="ode") share
+one pulse walker, walk_pulses: only the driven pulses are integrated with
+the package's ODE solver (evolve.hamiltonian_terms, evolve._integrate),
+and field-free pulses are exact closed-form exponentials of the compiled
+static Hamiltonian. dense_wmat, with dense product-space propagators, is
+kept as the test oracle of column_wmat.
 """
 from __future__ import annotations
 
@@ -616,56 +617,86 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
 # ---------------------------------------------------------------------------
 # direct integration backend
 
-def field_free_propagators(setup: SequenceSetup, dims, h, t_a):
-    """Bare-frame propagators R(t_a + tau) exp(-i H0 tau) R(t_a)^dag of a
-    field-free pulse starting at t_a, one per block of the compiled
-    Hamiltonian h (evolve.hamiltonian_terms): H0 = sum_m w_m n_m + h(0),
-    R(t) = exp(i sum_m w_m n_m t), each block diagonalized once."""
+def field_free_evolution(setup: SequenceSetup, dims, h, t_a, cols,
+                         offsets):
+    """Columns cols (n_blocks, dim, k) carried through the field-free pulse
+    starting at t_a to each time t_a + s, s in offsets: R(t_a + s)
+    exp(-i H0 s) R(t_a)^dag cols, one block of the compiled Hamiltonian h
+    (evolve.hamiltonian_terms) each, with H0 = sum_m w_m n_m + H(0) and
+    R(t) = exp(i sum_m w_m n_m t). One batched eigh, then exp(-i lam s)
+    for every s; returns (len(offsets), n_blocks, dim, k)."""
     n_blocks = h.static.shape[0]
     e_bare = np.asarray(setup.ws, float) @ np.indices(dims).reshape(
         len(dims), -1)
-    h_tw = h.stacked()(0.0).toarray().reshape(n_blocks, h.dim, n_blocks,
-                                              h.dim)
+    # h.stacked() evaluates the generator -i H
+    h_tw = 1j * h.stacked()(0.0).toarray().reshape(n_blocks, h.dim,
+                                                   n_blocks, h.dim)
     vals, vecs = np.linalg.eigh(np.einsum("aiaj->aij", h_tw)
                                 + np.diag(e_bare))
-    u = (vecs * np.exp(-1j * setup.tau * vals)[:, None, :]) \
-        @ np.conj(np.swapaxes(vecs, 1, 2))
-    return (np.exp(1j * e_bare * (t_a + setup.tau))[:, None] * u) \
-        * np.exp(-1j * e_bare * t_a)
+    coef = np.conj(np.swapaxes(vecs, 1, 2)) \
+        @ (np.exp(-1j * e_bare * t_a)[:, None] * cols)
+    s = np.asarray(offsets, float)[:, None, None]
+    states = vecs @ (np.exp(-1j * vals * s)[..., None] * coef)
+    return np.exp(1j * e_bare * (t_a + s))[..., None] * states
+
+
+def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, max_step,
+                atol=None):
+    """Carry mode-space columns through the pulse sequence, sampled at
+    the offsets inside every pulse (increasing, the last equal to tau).
+
+    cols (4, dim, k): block c starts in configuration CONFIG_S[c] and
+    follows its spin path, so the pi-pulses relabel the blocks but never
+    move them. Driven pulses are integrated (evolve._integrate on the
+    compiled Hamiltonian, at least 20 steps per drive period, max_step
+    lowering the step further); field-free pulses are exact closed-form
+    exponentials of the compiled static Hamiltonian
+    (field_free_evolution). Returns (pulse_count, len(offsets), 4, dim, k).
+    """
+    from . import evolve as _evolve
+
+    _evolve._check_tol(tol)  # also where no pulse is driven
+    h = _evolve.hamiltonian_terms(setup, dims)
+    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+             for si, sj in CONFIG_S]
+    step = (2.0 * math.pi / setup.mu) / 20.0
+    if max_step is not None:
+        step = min(max_step, step)
+    cols = np.asarray(cols, dtype=complex)
+    states = []
+    for pulse in range(setup.pulse_count):
+        t_a = pulse * setup.tau
+        # the blocks' configurations during this pulse select rows of the
+        # one compiled Hamiltonian
+        h_p = dataclasses.replace(h, static=h.static[
+            [CONFIG_S.index(path[pulse]) for path in paths]])
+        if pulse in setup.field_pulses and setup.gamma != 0.0:
+            ys = _evolve._integrate(
+                h_p.stacked(t_a), cols.reshape(-1, cols.shape[-1]), t_a,
+                t_a + setup.tau, tol, step, atol=atol,
+                t_eval=t_a + np.asarray(offsets, float))
+            ys = ys.T.reshape((len(offsets),) + cols.shape)
+        else:
+            ys = field_free_evolution(setup, dims, h_p, t_a, cols, offsets)
+        states.append(ys)
+        cols = ys[-1]
+    return np.array(states)
 
 
 def ode_wmat(setup: SequenceSetup, dims, weights, rtol=1e-9, max_step=None):
     """Channel matrix with the driven pulses integrated directly.
 
-    The four qubit configurations are the blocks of one matrix-valued ODE
-    per driven pulse (evolve.hamiltonian_terms, block c following
-    configuration c's spin path), which carries only the Fock columns of
-    nonzero thermal weight; field-free pulses are applied in closed form.
-    Returns (W, us) with us[c] the columns of the reference-relative
-    propagator at those Fock states.
+    walk_pulses carries the Fock columns of nonzero thermal weight of all
+    four configurations; the field-free reference is the same walk with
+    the field off, exact closed-form exponentials only. Returns (W, us)
+    with us[c] the columns of the reference-relative propagator at those
+    Fock states.
     """
-    from . import evolve as _evolve
-
     idx, p = _weighted_columns(dims, weights)
-    dim = int(np.prod(dims))
-    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-             for si, sj in CONFIG_S]
-    if max_step is None:
-        max_step = (2.0 * math.pi / setup.mu) / 20.0
-    u_full = np.array([np.eye(dim, dtype=complex)[:, idx]] * 4)
-    u_ref = np.array([np.eye(dim, dtype=complex)] * 4)
-    for pulse in range(setup.pulse_count):
-        t_a = pulse * setup.tau
-        h = _evolve.hamiltonian_terms(setup, dims,
-                                      [path[pulse] for path in paths])
-        u_stat = field_free_propagators(setup, dims, h, t_a)
-        u_ref = u_stat @ u_ref
-        if pulse in setup.field_pulses and setup.gamma != 0.0:
-            u_full = _evolve._integrate(
-                h.stacked(t_a), u_full.reshape(4 * dim, -1), t_a,
-                t_a + setup.tau, rtol, max_step,
-                atol=1e-12)[:, -1].reshape(u_full.shape)
-        else:
-            u_full = u_stat @ u_full
+    eye = np.eye(int(np.prod(dims)), dtype=complex)
+    u_full = walk_pulses(setup, dims, [eye[:, idx]] * 4, (setup.tau,), rtol,
+                         max_step, atol=1e-12)[-1, -1]
+    u_ref = walk_pulses(dataclasses.replace(setup, gamma=0.0), dims,
+                        [eye] * 4, (setup.tau,), rtol, max_step)[-1, -1]
     us = np.conj(np.swapaxes(u_ref, 1, 2)) @ u_full
     return _thermal_wmat(us, p), list(us)

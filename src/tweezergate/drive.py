@@ -129,15 +129,18 @@ def envelope(t, pulse: int, config: GateConfig):
 
 def ramp_envelope(t, tau, ramp_time):
     """sin^2 rise over ramp_time, flat top, mirrored fall, for a pulse
-    spanning [0, tau]; 0 outside it. A scalar t gives a float."""
-    t = np.asarray(t, dtype=float)
-    edge = np.minimum(t, tau - t)  # time to the nearer pulse edge
+    spanning [0, tau]; 0 outside it. A scalar t gives a float, an array
+    t an array of the same shape."""
+    if not isinstance(t, (int, float)):
+        t = np.asarray(t, dtype=float)
+        out = [ramp_envelope(float(s), tau, ramp_time) for s in t.ravel()]
+        return np.reshape(out, t.shape) if t.ndim else out[0]
+    edge = min(t, tau - t)  # time to the nearer pulse edge
+    if edge < 0.0:
+        return 0.0
     if ramp_time == 0.0:
-        shape = 1.0
-    else:
-        shape = np.sin(0.5 * np.pi * np.minimum(edge / ramp_time, 1.0)) ** 2
-    out = np.where(edge >= 0.0, shape, 0.0)
-    return out if t.ndim else float(out)
+        return 1.0
+    return math.sin(0.5 * math.pi * min(edge / ramp_time, 1.0)) ** 2
 
 
 def resolve_drive_frequency(config: GateConfig,

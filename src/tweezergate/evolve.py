@@ -8,9 +8,11 @@ field-free reference frame of each qubit configuration (the same frame the
 channel reconstruction uses); "ode" integrates the literal time-dependent
 Hamiltonian and returns the full interaction-picture state. The
 Hamiltonian is diagonal in the qubits, so the ODE state is the stack of
-the four qubit configurations' mode-space blocks, evolved by one compiled
-right-hand side (CompiledHamiltonian); _integrate is the package's one
-ODE solver call.
+the four qubit configurations' mode-space blocks, compiled into one
+right-hand side (CompiledHamiltonian). Only the driven pulses are
+integrated; field-free pulses are exact closed-form exponentials of the
+compiled static Hamiltonian (_exact.walk_pulses, shared with the ODE
+channel). _integrate is the package's one ODE solver call.
 """
 from __future__ import annotations
 
@@ -27,23 +29,31 @@ from . import _exact, crystal, drive, hilbert
 _TOL_RANGE = (1e-12, 1e-6)
 
 
-def _integrate(hamiltonian, state, t0, t1, tol, max_step, atol=None,
-               t_eval=None):
-    """Solve i dY/dt = H(t) Y with DOP853 for a vector or a matrix Y.
+def _check_tol(tol):
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(
+            f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
 
-    The one integrator of the package. hamiltonian(t) returns an operator
+
+def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
+               t_eval=None):
+    """Solve dY/dt = G(t) Y, G = -i H, with DOP853 for a vector or a
+    matrix Y.
+
+    The one integrator of the package. generator(t) returns an operator
     acting on Y; atol defaults to 1e-3 tol. Returns the flattened states
     at the times t_eval (default: t1 alone), one column each, read from
     the steps' interpolants; no other step is stored.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(
-            f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+    _check_tol(tol)
     y0 = np.asarray(state, dtype=complex)
-    shape = y0.shape
-
-    def rhs(t, y):
-        return (-1j * (hamiltonian(t) @ y.reshape(shape))).ravel()
+    shape = (len(y0), y0.size // len(y0))
+    if shape[1] == 1:
+        def rhs(t, y):
+            return generator(t) @ y
+    else:
+        def rhs(t, y):
+            return (generator(t) @ y.reshape(shape)).ravel()
 
     sol = scipy.integrate.solve_ivp(
         rhs, (t0, t1), y0.ravel(), method="DOP853", rtol=tol,
@@ -64,7 +74,8 @@ def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):
     state vectors. t1 < t0 integrates backwards. Raises RuntimeError
     carrying the failure time if the step size underflows.
     """
-    return _integrate(hamiltonian, state, t0, t1, tol, max_step)[:, -1]
+    return _integrate(lambda t: -1j * hamiltonian(t), state, t0, t1, tol,
+                      max_step)[:, -1]
 
 
 def propagator(hamiltonian, space, t0, t1, tol=1e-9, max_step=None):
@@ -74,66 +85,9 @@ def propagator(hamiltonian, space, t0, t1, tol=1e-9, max_step=None):
     matrix-valued ODE so all columns share the adaptive time grid.
     """
     dim = space.dim if isinstance(space, hilbert.SpaceSpec) else int(space)
-    u = _integrate(hamiltonian, np.eye(dim), t0, t1, tol, max_step)
+    u = _integrate(lambda t: -1j * hamiltonian(t), np.eye(dim), t0, t1, tol,
+                   max_step)
     return u[:, -1].reshape(dim, dim)
-
-
-@dataclasses.dataclass(frozen=True)
-class PulseRecord:
-    """One pulse: duration, whether the field drives it, envelope ramp
-    time, and the qubits flipped by pi-pulses at the pulse's end."""
-
-    duration: float
-    field_on: bool
-    ramp_time: float
-    flip_after: tuple = ()
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("pulse duration must be positive")
-        if not 0 <= 2 * self.ramp_time <= self.duration:
-            raise ValueError("ramps must fit inside the pulse")
-
-
-@dataclasses.dataclass(frozen=True)
-class PulseSchedule:
-    pulses: tuple
-
-    def __post_init__(self):
-        if not self.pulses:
-            raise ValueError("schedule needs at least one pulse")
-
-    @property
-    def total_time(self) -> float:
-        return sum(p.duration for p in self.pulses)
-
-    def flip_counts(self, n_qubits: int):
-        counts = [0] * n_qubits
-        for p in self.pulses:
-            for q in p.flip_after:
-                counts[q] += 1
-        return tuple(counts)
-
-
-def schedule_from_config(config: drive.GateConfig) -> PulseSchedule:
-    """Pulse records of the echoed sequence.
-
-    Requires the echo to close: every qubit must be flipped an even number
-    of times so the net single-qubit Pauli frame is the identity.
-    """
-    tau = config.pulse_duration
-    ramp = config.ramp_fraction * tau
-    pulses = []
-    for p in range(config.pulse_count):
-        flips = config.echo_schedule[p] if p < config.pulse_count - 1 else ()
-        pulses.append(PulseRecord(tau, config.field_on_mask[p], ramp,
-                                  tuple(flips)))
-    schedule = PulseSchedule(tuple(pulses))
-    counts = schedule.flip_counts(2)
-    if any(c % 2 for c in counts):
-        raise ValueError(
-            f"echo does not close: pi-pulse counts per qubit {counts}")
-    return schedule
 
 
 @dataclasses.dataclass
@@ -236,8 +190,10 @@ def run_gate(config: drive.GateConfig, qubit_state, motional_state,
     backend "gaussian": exact displaced-oscillator composition; the final
     state is expressed in the per-configuration field-free reference frame.
     backend "ode": adaptive integration (tolerance tol) of the literal
-    Hamiltonian, compiled by hamiltonian_terms, with the drive period
-    resolved by at least 20 steps; the final state is the full
+    Hamiltonian, compiled by hamiltonian_terms, over the driven pulses,
+    with the drive period resolved by at least 20 steps; field-free
+    pulses, samples included, are exact closed-form exponentials of the
+    compiled static Hamiltonian. The final state is the full
     interaction-picture state. max_step lowers the step cap further and
     applies to "ode" only.
     """
@@ -252,14 +208,17 @@ def run_gate(config: drive.GateConfig, qubit_state, motional_state,
     norm = np.linalg.norm(qvec) * np.linalg.norm(mot)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError("initial state must be normalized")
+    flips = tuple(sum(q in b for b in config.echo_schedule) for q in (0, 1))
+    if any(n % 2 for n in flips):
+        raise ValueError(
+            f"echo does not close: pi-pulse counts per qubit {flips}")
     modes = retained_modes(config, space)
-    schedule = schedule_from_config(config)
 
     if backend == "gaussian":
         return _run_gaussian(config, modes, qvec, mot, label, space,
                              samples_per_pulse)
     if backend == "ode":
-        return _run_ode(config, modes, qvec, mot, label, space, schedule,
+        return _run_ode(config, modes, qvec, mot, label, space,
                         samples_per_pulse, tol, max_step)
     raise ValueError(f"unknown backend {backend!r}")
 
@@ -312,9 +271,10 @@ class CompiledHamiltonian:
     ramp_time: float
 
     def stacked(self, t_a=None):
-        """t -> block-diagonal H(t) of all blocks, refilled in place on
-        every call. The field follows the envelope of the pulse starting
-        at t_a; t_a None leaves it off."""
+        """t -> the block-diagonal generator -i H(t) of all blocks, the
+        operator _integrate takes, refilled in place on every call. The
+        field follows the envelope of the pulse starting at t_a; t_a None
+        leaves it off."""
         n_blocks, nnz = self.static.shape[0], self.data.shape[1]
         shift = np.arange(n_blocks)[:, None]
         h = sp.csr_matrix(
@@ -324,15 +284,18 @@ class CompiledHamiltonian:
             shape=(n_blocks * self.dim,) * 2)
         blocks = h.data.reshape(n_blocks, nnz)
         rates = 1j * self.freqs
-        static, field, data = self.static, self.field, self.data
+        # -i folded into the amplitudes; the flat top's are kept
+        static, field = -1j * self.static, -1j * self.field
+        flat_top = static + field
+        data, envelope = self.data, drive.ramp_envelope
         tau, ramp_time = self.tau, self.ramp_time
 
         def at(t):
             amp = static
             if t_a is not None:
-                env = drive.ramp_envelope(t - t_a, tau, ramp_time)
-                amp = amp + env * field
-            np.matmul(amp * np.exp(rates * t), data, out=blocks)
+                env = envelope(t - t_a, tau, ramp_time)
+                amp = flat_top if env == 1.0 else static + env * field
+            np.dot(amp * np.exp(rates * t), data, out=blocks)
             return h
 
         return at
@@ -389,38 +352,28 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
         tau=setup.tau, ramp_time=setup.ramp_time)
 
 
-def _run_ode(config, modes, qvec, mot, label, space, schedule,
-             samples_per_pulse, tol, max_step):
-    """The composite state is the stack of the four qubit configurations'
-    mode-space blocks; pi-pulses permute the blocks."""
+def _run_ode(config, modes, qvec, mot, label, space, samples_per_pulse,
+             tol, max_step):
+    """Each qubit configuration of nonzero weight is walked on its own,
+    its block starting from mot and following its spin path, so the
+    integrator's step grid never depends on the other amplitudes and the
+    result is linear in qvec by construction. The echo closes, so block c
+    ends in configuration c."""
     setup = _exact.setup_from_config(config, modes)
-    h = hamiltonian_terms(setup, space.mode_dims)
-    step_cap = (2 * np.pi / setup.mu) / 20.0
-    step = step_cap if max_step is None else min(max_step, step_cap)
-    a_com = hilbert.embed(hilbert.ladder_operators(space.mode_cutoffs[0])[0],
-                          ("mode", 0), space)
-
-    def com_mean(states):
-        return np.sum(np.conj(states) * (a_com @ states), axis=0)
-
-    psi = np.kron(qvec, mot)
-    times = [0.0]
-    alpha = [complex(com_mean(psi))]
-    t_a = 0.0
-    for pulse in schedule.pulses:
-        t_b = t_a + pulse.duration
-        ts = t_a + np.arange(1, samples_per_pulse + 1) * pulse.duration \
-            / samples_per_pulse
-        states = _integrate(h.stacked(t_a if pulse.field_on else None),
-                            psi, t_a, t_b, tol, step,
-                            t_eval=np.append(ts[:-1], t_b))
-        times.extend(ts)
-        alpha.extend(com_mean(states))
-        blocks = states[:, -1].reshape(4, space.mode_dim)
-        for q in pulse.flip_after:
-            # qubit 0 is the high bit of the configuration index
-            blocks = blocks[np.arange(4) ^ (2 >> q)]
-        psi = blocks.ravel()
-        t_a = t_b
-    traj = Trajectory(np.array(times), np.array(alpha), label)
-    return psi, traj
+    tau, dim = setup.tau, space.mode_dim
+    offsets = np.append(np.arange(1, samples_per_pulse) * tau
+                        / samples_per_pulse, tau)
+    a_com = _exact.sparse_ladders(space.mode_dims)[0][0]
+    out = np.zeros((4, dim), dtype=complex)
+    alpha = 0.0
+    for c in np.flatnonzero(np.abs(qvec) ** 2 >= 1e-24):
+        start = np.zeros((4, dim, 1), dtype=complex)
+        start[c, :, 0] = mot
+        states = _exact.walk_pulses(setup, space.mode_dims, start, offsets,
+                                    tol, max_step)[:, :, c, :, 0]
+        out[c] = qvec[c] * states[-1, -1]
+        cols = np.concatenate([mot[None], states.reshape(-1, dim)]).T
+        alpha = alpha + abs(qvec[c]) ** 2 * np.sum(
+            np.conj(cols) * (a_com @ cols), axis=0)
+    times = np.arange(setup.pulse_count)[:, None] * tau + offsets
+    return out.ravel(), Trajectory(np.append(0.0, times), alpha, label)

@@ -180,7 +180,9 @@ def _check_tail(thermal: hilbert.ThermalEnsemble):
 
 
 def _channel_setup(config: drive.GateConfig, thermal: hilbert.ThermalEnsemble,
-                   space: hilbert.SpaceSpec):
+                   space: hilbert.SpaceSpec, backend, max_step):
+    if max_step is not None and backend != "ode":
+        raise ValueError("max_step applies only to the ode backend")
     if space.n_qubits != 2:
         raise ValueError("channel reconstruction needs a two-qubit space")
     if tuple(thermal.cutoffs) != space.mode_cutoffs:
@@ -207,9 +209,11 @@ def reconstruct_channel(config: drive.GateConfig,
     backends at the size of the truncated tail). tol and max_step are the
     "ode" integrator's; max_step with another backend raises.
     """
-    if max_step is not None and backend != "ode":
-        raise ValueError("max_step applies only to the ode backend")
-    setup = _channel_setup(config, thermal, space)
+    setup = _channel_setup(config, thermal, space, backend, max_step)
+    return _channel(setup, config, thermal, space, backend, tol, max_step)
+
+
+def _channel(setup, config, thermal, space, backend, tol, max_step):
     if backend == "gaussian":
         w, _ = _exact.gaussian_wmat(setup, thermal.nbar)
     elif backend in ("fock", "column"):
@@ -260,7 +264,10 @@ def ideal_gate(config: drive.GateConfig, modes) -> IdealGate:
     """Reference gate for a configuration: each driven pulse adds
     -gamma^2 tau / (mu - w~_com(c)) to configuration c's phase, with
     w~_com the tweezer-dressed COM branch seen during that pulse."""
-    setup = _exact.setup_from_config(config, modes)
+    return _ideal_gate(_exact.setup_from_config(config, modes))
+
+
+def _ideal_gate(setup) -> IdealGate:
     theta = _exact.ideal_phases(setup)
     return IdealGate(phases=theta - theta[0])
 
@@ -360,7 +367,7 @@ def process_fidelity(channel: QuantumChannel, ideal) -> float:
     return float((tot.real + 16.0) / 80.0)
 
 
-def _parameter_snapshot(config: drive.GateConfig, modes, nbar, cutoffs,
+def _parameter_snapshot(config: drive.GateConfig, setup, nbar, cutoffs,
                         backend: str) -> dict:
     trap = config.trap
     return {
@@ -373,10 +380,8 @@ def _parameter_snapshot(config: drive.GateConfig, modes, nbar, cutoffs,
                                / trap.axial_frequency),
         "field_amplitude_v_per_m": float(config.field_amplitude),
         "detuning_rad_s": float(config.detuning),
-        "drive_frequency_rad_s": float(
-            drive.resolve_drive_frequency(config, modes)),
-        "gamma_rad_s": float(
-            drive.gamma_from_field(config.field_amplitude, trap)),
+        "drive_frequency_rad_s": float(setup.mu),
+        "gamma_rad_s": float(setup.gamma),
         "pulse_duration_s": float(config.pulse_duration),
         "ramp_fraction": float(config.ramp_fraction),
         "pulse_count": int(config.pulse_count),
@@ -395,15 +400,15 @@ def fidelity_report(config: drive.GateConfig,
                     tol: float = 1e-9,
                     max_step=None) -> FidelityReport:
     """Reconstruct the channel, compare against the reference gate, and
-    package the scores with a full parameter snapshot."""
-    channel = reconstruct_channel(config, thermal, space, backend=backend,
-                                  tol=tol, max_step=max_step)
-    modes = evolve.retained_modes(config, space)
-    ref = ideal_gate(config, modes)
+    package the scores with a full parameter snapshot; all three read one
+    SequenceSetup."""
+    setup = _channel_setup(config, thermal, space, backend, max_step)
+    channel = _channel(setup, config, thermal, space, backend, tol, max_step)
+    ref = _ideal_gate(setup)
     fid = process_fidelity(channel, ref)
     phi = conditional_phase_from_channel(channel)
     g1, g2 = local_invariants(extract_diagonal_gate(channel))
-    params = _parameter_snapshot(config, modes, thermal.nbar,
+    params = _parameter_snapshot(config, setup, thermal.nbar,
                                  space.mode_cutoffs, backend)
     params["reference_conditional_phase_rad"] = float(ref.conditional_phase)
     return FidelityReport(fidelity=fid, conditional_phase=phi,

@@ -1,5 +1,7 @@
 """Sequence propagation: integrators, schedules, run_gate, trajectories."""
 import csv
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,16 +10,13 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import literal_hamiltonian
-from tweezergate import _exact, crystal, drive, evolve, hilbert
+from tweezergate import _exact, crystal, drive, evolve, hilbert, metric
 from tweezergate.evolve import (
-    PulseRecord,
-    PulseSchedule,
     Trajectory,
     hamiltonian_terms,
     propagate,
     propagator,
     run_gate,
-    schedule_from_config,
 )
 
 W = 2 * np.pi * 1e6
@@ -141,29 +140,12 @@ class TestPropagator:
 
 
 class TestSchedule:
-    def test_default_schedule(self):
-        cfg = config()
-        sched = schedule_from_config(cfg)
-        tau = cfg.pulse_duration
-        assert len(sched.pulses) == 4
-        assert all(p.duration == tau for p in sched.pulses)
-        assert [p.field_on for p in sched.pulses] == [True, False, False, True]
-        assert [p.flip_after for p in sched.pulses] == [(0, 1), (0,), (1,), ()]
-        assert sched.total_time == pytest.approx(4 * tau)
-        assert sched.flip_counts(2) == (2, 2)
-
     def test_open_echo_rejected(self):
         cfg = config(echo_schedule=((0,), (0,), (0,)))
-        with pytest.raises(ValueError, match="echo does not close"):
-            schedule_from_config(cfg)
-
-    def test_pulse_record_validation(self):
-        with pytest.raises(ValueError, match="duration"):
-            PulseRecord(duration=0.0, field_on=True, ramp_time=0.0)
-        with pytest.raises(ValueError, match="ramp"):
-            PulseRecord(duration=1.0, field_on=True, ramp_time=0.6)
-        with pytest.raises(ValueError, match="at least one pulse"):
-            PulseSchedule(())
+        space = hilbert.SpaceSpec(2, (2,))
+        for backend in ("gaussian", "ode"):
+            with pytest.raises(ValueError, match="echo does not close"):
+                run_gate(cfg, "01", (0,), space, backend=backend)
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -201,7 +183,7 @@ class TestHamiltonianTerms:
         tau = self.cfg.pulse_duration
         for t in np.append(rng.uniform(0.0, tau, size=8), 0.005 * tau):
             ref = self.literal(t, float(drive.envelope(t, 0, self.cfg)))
-            got = stacked(t).toarray()
+            got = 1j * stacked(t).toarray()  # stacked evaluates -i H
             scale = np.abs(ref).max()
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * scale)
             for c in range(4):
@@ -212,13 +194,13 @@ class TestHamiltonianTerms:
     def test_field_off_and_pulse_offset(self):
         tau = self.cfg.pulse_duration
         t = 3.004 * tau
-        h_off = self.h.stacked()(t).toarray()
+        h_off = 1j * self.h.stacked()(t).toarray()
         np.testing.assert_allclose(h_off, self.literal(t, 0.0), rtol=0,
                                    atol=1e-9 * np.abs(h_off).max())
         # the envelope runs from the pulse start t_a
         env = float(drive.envelope(t - 3 * tau, 3, self.cfg))
         assert 0.0 < env < 1.0
-        h_on = self.h.stacked(3 * tau)(t).toarray()
+        h_on = 1j * self.h.stacked(3 * tau)(t).toarray()
         np.testing.assert_allclose(h_on, self.literal(t, env), rtol=0,
                                    atol=1e-9 * np.abs(h_on).max())
 
@@ -238,7 +220,9 @@ class TestHamiltonianTerms:
         want = (np.exp(1j * e_bare * (t_a + tau))[:, None]
                 * scipy.linalg.expm(-1j * tau * h0)) \
             * np.exp(-1j * e_bare * t_a)
-        got = _exact.field_free_propagators(self.setup, dims, self.h, t_a)
+        eye = np.eye(space.mode_dim)
+        got = _exact.field_free_evolution(self.setup, dims, self.h, t_a,
+                                          [eye] * 4, (tau,))[0]
         d = space.mode_dim
         for c in range(4):
             blk = slice(c * d, (c + 1) * d)
@@ -269,7 +253,7 @@ class TestHamiltonianTerms:
         # K_c = w_tw^2 (s_i + s_j) / 2 for the uniform COM participation
         modes = self.modes.restrict([0])
         setup = _exact.setup_from_config(self.cfg, modes)
-        h = hamiltonian_terms(setup, (4,)).stacked()(1.3e-6).toarray()
+        h = 1j * hamiltonian_terms(setup, (4,)).stacked()(1.3e-6).toarray()
         w = modes.frequencies[0]
         unit = self.cfg.tweezer_frequency ** 2 / (4 * w)
         for c, (si, sj) in enumerate(_exact.CONFIG_S):
@@ -369,11 +353,10 @@ class TestRunGate:
         assert abs(np.linalg.norm(psi_o) - 1) < 1e-9  # norm drift
 
     def test_ode_superposition_is_weighted_basis_runs(self):
-        # the stacked blocks are permuted at every pi-pulse; linearity
-        # ties a superposition run to the four basis-state runs.  Short
-        # pulses (|delta| = 0.05 w_com, same gamma/|delta|) and the
-        # tightest tolerance keep the runs' different step grids apart by
-        # far less than the bound
+        # each qubit configuration is walked on its own step grid, so
+        # linearity ties a superposition run to the four basis-state runs
+        # (short pulses, |delta| = 0.05 w_com at the same gamma/|delta|,
+        # and the tightest tolerance)
         cfg = config(detuning=-2 * np.pi * 5e4, field_amplitude=50 * 2.69e-4)
         space = hilbert.SpaceSpec(2, (3,))
         q = np.array([0.5, 0.5j, -0.5, 0.5])
@@ -436,3 +419,74 @@ class TestRunGate:
         detuning_ratio = abs(cfg.detuning / (g_plus - cfg.detuning))
         frac = np.abs(t11.alpha).max() / np.abs(t01.alpha).max()
         assert frac < 3 * detuning_ratio
+
+
+def _fake_integrate(calls):
+    """Stand-in for evolve._integrate that records its arguments and
+    leaves the state unchanged at every requested time."""
+    def integrate(generator, state, t0, t1, tol, max_step, atol=None,
+                  t_eval=None):
+        calls.append(max_step)
+        n_eval = 1 if t_eval is None else len(t_eval)
+        return np.repeat(np.ravel(state)[:, None], n_eval, axis=1)
+    return integrate
+
+
+class TestPulseWalker:
+    """_exact.walk_pulses, shared by run_gate(backend="ode") and the ODE
+    channel: driven pulses integrated, field-free pulses in closed form."""
+
+    def test_integrates_driven_pulses_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evolve, "_integrate", _fake_integrate(calls))
+        space = hilbert.SpaceSpec(2, (2,))
+        run_gate(fast_config(), "01", (0,), space, backend="ode")
+        assert len(calls) == 2  # field_on_mask (True, False, False, True)
+        calls.clear()
+        run_gate(fast_config(field_amplitude=0.0), "01", (0,), space,
+                 backend="ode")
+        assert calls == []
+
+    def test_step_cap_applies_to_both_entry_points(self, monkeypatch):
+        # a max_step above the cap (2 pi / mu) / 20 must not loosen it
+        calls = []
+        monkeypatch.setattr(evolve, "_integrate", _fake_integrate(calls))
+        cfg = fast_config()
+        space = hilbert.SpaceSpec(2, (2,))
+        modes = evolve.retained_modes(cfg, space)
+        cap = (2 * np.pi / drive.resolve_drive_frequency(cfg, modes)) / 20
+        run_gate(cfg, "01", (0,), space, backend="ode", max_step=10 * cap)
+        metric.reconstruct_channel(cfg, hilbert.ThermalEnsemble((0.0,), (2,)),
+                                   space, backend="ode", max_step=10 * cap)
+        assert calls and all(s == pytest.approx(cap, rel=1e-12)
+                             for s in calls)
+
+    def test_field_free_samples_match_integration(self):
+        cfg = fast_config()
+        space = hilbert.SpaceSpec(2, (8,))
+        dims, d = space.mode_dims, space.mode_dim
+        setup = _exact.setup_from_config(cfg,
+                                         evolve.retained_modes(cfg, space))
+        h = hamiltonian_terms(setup, dims)
+        tau, t_a = setup.tau, setup.tau  # pulse 1 is field-free
+        offsets = np.append(np.arange(1, 200) * tau / 200, tau)
+        got = _exact.field_free_evolution(setup, dims, h, t_a,
+                                          [np.eye(d)] * 4, offsets)
+        cap = (2 * np.pi / setup.mu) / 20
+        want = evolve._integrate(h.stacked(None), np.tile(np.eye(d), (4, 1)),
+                                 t_a, t_a + tau, 1e-12, cap,
+                                 t_eval=t_a + offsets)
+        want = want.T.reshape(len(offsets), 4, d, d)
+        assert np.abs(got - want).max() < 1e-9
+
+    def test_matches_all_pulse_integration(self):
+        # frozen from the integrator that stepped through all four pulses
+        ref = json.loads((pathlib.Path(__file__).parent
+                          / "ode_gate_reference.json").read_text())
+        psi, traj = run_gate(fast_config(), "01", (0,),
+                             hilbert.SpaceSpec(2, (8,)), backend="ode",
+                             tol=1e-10)
+        state = np.array(ref["state_re"]) + 1j * np.array(ref["state_im"])
+        alpha = np.array(ref["alpha_re"]) + 1j * np.array(ref["alpha_im"])
+        assert np.abs(psi - state).max() < 1e-9
+        assert np.abs(traj.alpha[ref["alpha_index"]] - alpha).max() < 1e-9
