@@ -9,8 +9,11 @@ series terminates at second order: every envelope segment contributes one
 displacement factor exp(-i(v.a + conj(v).a^dag + phase)), with the moment
 integrals evaluated in closed form.  The phase is the second-order
 (commutator) Magnus term (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-(2009)); ladder operators of different dressed modes commute, so only
-same-mode piece pairs contribute: O(N) double moments per segment.
+(2009)); ladder operators of different dressed modes commute and the
+pieces of one branch of a mode cancel, so only the 6 x 6 opposite-branch
+piece pairs of each dressed mode contribute: O(N) double moments per
+segment. config_generators evaluates the generators of all four qubit
+configurations in one batched pass.
 
 The channel only needs the propagator relative to the field-free
 reference. Conjugating the late displacement factors through the
@@ -155,14 +158,15 @@ def segments(t_a, tau, tr):
 def normal_form(ws, k_mat):
     """Dressed frequencies and mixing of the static quadratic part.
 
-    Diagonalizes diag(ws^2) + K; returns (wt ascending, O orthogonal with
-    columns the dressed modes). Raises on an anti-trapped branch.
+    Diagonalizes diag(ws^2) + K, stacked over the leading axes of K;
+    returns (wt ascending, O orthogonal with columns the dressed modes).
+    Raises on an anti-trapped branch.
     """
     d = np.diag(np.asarray(ws, float) ** 2) + k_mat
     lam, o = np.linalg.eigh(d)
-    if lam[0] <= 0:
+    if np.any(lam[..., 0] <= 0):
         raise ValueError("anti-trapped dressed mode: eigenvalue %.3e"
-                         % lam[0])
+                         % np.min(lam[..., 0]))
     return np.sqrt(lam), o
 
 
@@ -173,19 +177,20 @@ def xcom_pieces(ws, wt, o, bcom):
     static quadratic part mixes position and momentum of every bare mode;
     projecting back gives the coefficient pieces of a_1..a_N and
     a^dag_1..a^dag_N in the elapsed time s: (beta, theta) with beta[2N, 2N]
-    and the shared frequencies theta = (-wt_0, wt_0, -wt_1, wt_1, ...).
+    and the shared frequencies theta = (-wt_0, wt_0, -wt_1, wt_1, ...),
+    stacked over the leading axes of the dressed frame (wt, o).
     """
     n_modes = len(ws)
     sw = np.sqrt(np.asarray(ws, float))
     proj = np.asarray(bcom, float) * sw  # drive weight in y = x sqrt(w)
-    cmo = (proj @ o) * o                 # cmo[n, k] = (proj . o_k) o[n, k]
+    cmo = (proj @ o)[..., None, :] * o  # cmo[n, k] = (proj . o_k) o[n, k]
     c1 = cmo / sw[:, None]
-    c2 = cmo * sw[:, None] / wt
+    c2 = cmo * sw[:, None] / wt[..., None, :]
     plus, minus = 0.5 * (c1 + c2), 0.5 * (c1 - c2)
     beta = np.concatenate([np.stack([plus, minus], axis=-1),
-                           np.stack([minus, plus], axis=-1)])
-    theta = np.stack([-wt, wt], axis=-1).ravel()
-    return beta.reshape(2 * n_modes, -1), theta
+                           np.stack([minus, plus], axis=-1)], axis=-3)
+    theta = np.stack([-wt, wt], axis=-1).reshape(wt.shape[:-1] + (-1,))
+    return beta.reshape(beta.shape[:-3] + (2 * n_modes, -1)), theta
 
 
 def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
@@ -193,18 +198,19 @@ def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
     s^dag xi s = S xi for s = R(t_b) exp(-i H0 dt) R(t_a)^dag, R the bare
     rotation exp(+i sum w_m (n_m + 1/2) t); dressed = normal_form(ws, K).
 
-    dt and t_b broadcast against each other; the maps stack on their
-    leading axes."""
+    The leading axes of the dressed frame and dt, t_a, t_b broadcast
+    against each other; the maps stack on them."""
     wt, o = dressed
     sw = np.sqrt(np.asarray(ws, float))
-    dt, t_b = np.broadcast_arrays(np.asarray(dt, float),
-                                  np.asarray(t_b, float))
+    dt, t_a, t_b = np.broadcast_arrays(*(np.asarray(t, float)
+                                         for t in (dt, t_a, t_b)))
+    wt = wt[..., None, None, :]
     wdt = wt * dt[..., None, None, None]
     ct = np.cos(wdt)
     st = np.sin(wdt)
     # position/momentum response summed over dressed branches k:
     # oo[m, n, k] = o[m, k] o[n, k]
-    oo = o[:, None, :] * o[None, :, :]
+    oo = o[..., :, None, :] * o[..., None, :, :]
     ratio = (sw[:, None] / sw[None, :])[..., None]   # sw[m] / sw[n]
     prod = (sw[:, None] * sw[None, :])[..., None]
     c = np.sum(oo * ratio * ct, axis=-1)
@@ -213,18 +219,15 @@ def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
     s2 = np.sum(oo * np.swapaxes(ratio, 0, 1) * ct, axis=-1)
     a_blk = 0.5 * ((c + 1j * c2) - 1j * (s1 + 1j * s2))
     b_blk = 0.5 * ((c + 1j * c2) + 1j * (s1 + 1j * s2))
-    n_modes = len(ws)
-    mg = np.empty(dt.shape + (2 * n_modes, 2 * n_modes), dtype=complex)
-    mg[..., :n_modes, :n_modes] = a_blk
-    mg[..., :n_modes, n_modes:] = b_blk
-    mg[..., n_modes:, :n_modes] = b_blk.conj()
-    mg[..., n_modes:, n_modes:] = a_blk.conj()
+    mg = np.concatenate(
+        [np.concatenate([a_blk, b_blk], axis=-1),
+         np.concatenate([b_blk.conj(), a_blk.conj()], axis=-1)], axis=-2)
     ws_arr = np.asarray(ws, float)
     wtb = ws_arr * t_b[..., None]
+    wta = ws_arr * t_a[..., None]
     lam_b = np.concatenate([np.exp(1j * wtb), np.exp(-1j * wtb)], axis=-1)
-    lam_a = np.concatenate([np.exp(-1j * ws_arr * t_a),
-                            np.exp(1j * ws_arr * t_a)])
-    return (lam_b[..., :, None] * mg) * lam_a
+    lam_a = np.concatenate([np.exp(-1j * wta), np.exp(1j * wta)], axis=-1)
+    return (lam_b[..., :, None] * mg) * lam_a[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +256,12 @@ class SequenceSetup:
     @property
     def n_modes(self) -> int:
         return len(self.ws)
+
+    @property
+    def driven_pulses(self) -> list:
+        """Pulses with the field on; none when gamma is 0."""
+        return [p for p in range(self.pulse_count)
+                if p in self.field_pulses and self.gamma != 0.0]
 
 
 def setup_from_config(config, modes) -> SequenceSetup:
@@ -299,9 +308,23 @@ def path_of(si, sj, echo_schedule, pulse_count):
     return path[:pulse_count]
 
 
+def path_frames(setup: SequenceSetup, configs):
+    """Dressed frames (wt, o) per (configuration, pulse) along the spin
+    paths of configs, from one stacked eigh of the distinct spin
+    configurations."""
+    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+             for si, sj in configs]
+    distinct = sorted(set().union(*paths))
+    wt, o = normal_form(setup.ws, np.array([setup.coupling(*cfg)
+                                            for cfg in distinct]))
+    frame = [[distinct.index(cfg) for cfg in path] for path in paths]
+    return wt[frame], o[frame]
+
+
 def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
-    """(t1, t2, coef) for the driven segments of one pulse in the dressed
-    frame (wt, o) = normal_form(ws, K), batched over the segments: coef
+    """(t1, t2, coef) for the segments of driven pulses starting at t_a in
+    the dressed frames (wt, o) = normal_form(ws, K): the leading axes of
+    the frames and t_a broadcast, and the segments stack after them.  coef
     rows are a_1..a_N, a^dag_1..a^dag_N, pieces (drive e, mode d, -/+ wt_d).
 
     Time is absolute; the dressed-frame pieces run in s = t - t_a, folded in
@@ -309,84 +332,88 @@ def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
     """
     wt, o = dressed
     beta_x, theta_x = xcom_pieces(setup.ws, wt, o, setup.bcom)
-    segs = [(kind, t1, t2)
-            for kind, t1, t2 in segments(t_a, setup.tau, setup.ramp_time)
-            if t2 > t1]
+    t_a = np.asarray(t_a, float)
+    # ramps of at most tau / 4 leave every segment of positive length
+    segs = segments(t_a, setup.tau, setup.ramp_time)
     # flat envelopes are padded with zero pieces to the ramps' three, so
     # every segment (and every pulse of a sequence) stacks on one axis
     n_env = 3 if setup.ramp_time > 0 else 1
-    beta_e = np.zeros((len(segs), n_env), dtype=complex)
-    theta_e = np.zeros((len(segs), n_env))
+    beta_e = np.zeros(t_a.shape + (len(segs), n_env), dtype=complex)
+    theta_e = np.zeros(beta_e.shape)
     for s, (kind, _, _) in enumerate(segs):
         pieces = env_pieces(kind, setup.ramp_time, t_a, setup.tau)
         for e, (b, th) in enumerate(pieces):
-            beta_e[s, e], theta_e[s, e] = b, th
+            beta_e[..., s, e], theta_e[..., s, e] = b, th
     # times 2 gamma cos(mu t): each envelope piece splits into +mu and -mu
-    beta_b = np.repeat(beta_e * setup.gamma, 2, axis=1)
-    theta_b = (theta_e[:, :, None]
-               + np.array([setup.mu, -setup.mu])).reshape(len(segs), -1)
-    beta = ((beta_b[:, None, :, None] * beta_x[None, :, None, :])
-            * np.exp(-1j * theta_x * t_a))
-    theta = theta_b[:, :, None] + theta_x
-    return (np.array([t1 for _, t1, _ in segs]),
-            np.array([t2 for _, _, t2 in segs]),
-            Coef(beta.reshape(len(segs), len(beta_x), -1),
-                 theta.reshape(len(segs), -1)))
+    beta_b = np.repeat(beta_e * setup.gamma, 2, axis=-1)
+    theta_b = (theta_e[..., None] + np.array([setup.mu, -setup.mu])
+               ).reshape(beta_b.shape)
+    beta = ((beta_b[..., :, None, :, None] * beta_x[..., None, :, None, :])
+            * np.exp(-1j * theta_x * t_a[..., None])[..., None, None, None,
+                                                      :])
+    theta = theta_b[..., :, :, None] + theta_x[..., None, None, :]
+    return (np.stack([t1 for _, t1, _ in segs], axis=-1),
+            np.stack([t2 for _, _, t2 in segs], axis=-1),
+            Coef(beta.reshape(beta.shape[:-2] + (-1,)),
+                 theta.reshape(theta.shape[:-2] + (-1,))))
 
 
 def segment_generators(t1, t2, coef):
-    """Displacement generators (v, phase) of a batch of segments laid out
-    as by pulse_segment_coefs: the linear moment and the commutator phase
-    sum_pq int_j[p, q] M[p, q] / 2i, M = A^T A^dag - (A^T A^dag)^T with
-    A, A^dag the a- and a^dag-rows of beta.  Pieces of different dressed
-    modes commute (Blanes et al. 2009), so M is block diagonal and only
-    the N blocks of same-mode piece pairs are integrated."""
-    s, n2, _ = coef.beta.shape
-    n = n2 // 2
-    # pieces (e, d, -/+) -> per dressed mode d the pieces (e, -/+)
-    beta = np.moveaxis(coef.beta.reshape(s, n2, -1, n, 2), 3, 1)
-    th = np.moveaxis(coef.theta.reshape(s, -1, n, 2), 2, 1).reshape(s, n, -1)
-    t1b, t2b = (np.reshape(t, (-1, 1, 1, 1)) for t in (t1, t2))
-    ij = int_j(th[..., :, None], th[..., None, :], t1b, t2b)
-    beta = beta.reshape(s, n, n2, -1)
-    m = np.swapaxes(beta[:, :, :n], -1, -2) @ beta[:, :, n:]
-    phase = np.sum(ij * (m - np.swapaxes(m, -1, -2)), axis=(1, 2, 3))
-    return coef.m0(t1, t2), np.real(-0.5j * phase)
+    """Displacement generators (v, phase) of segments laid out as by
+    pulse_segment_coefs: the linear moment and the commutator phase
+    sum_pq J[p, q] M[p, q] / 2i, M = A^T A^dag - (A^T A^dag)^T with A,
+    A^dag the a- and a^dag-rows of beta.  M is block diagonal over the
+    dressed modes (Blanes et al. 2009) and vanishes between pieces of one
+    branch (-wt or +wt), whose a- and a^dag-rows swap the same two
+    profiles; with J[p, q] + J[q, p] = I0[p] I0[q] the phase sums
+    (2 J[p, q] - I0[p] I0[q]) M[p, q] over p in (-wt), q in (+wt): 6 x 6
+    opposite-branch pairs per mode and ramped segment."""
+    n = coef.beta.shape[-2] // 2
+    t1, t2 = (np.asarray(t)[..., None] for t in (t1, t2))
+    i0 = int0(coef.theta, t1, t2)
+    v = (coef.beta @ i0[..., None])[..., 0]
+    # pieces (e, d, -/+) -> per dressed mode d and branch -/+ the pieces e
+    beta = np.moveaxis(coef.beta.reshape(coef.beta.shape[:-1] + (-1, n, 2)),
+                       -2, -4)
+    th, i0 = (np.moveaxis(x.reshape(x.shape[:-1] + (-1, n, 2)), -2, -3)
+              for x in (coef.theta, i0))
+    a, ad = beta[..., :n, :, :], beta[..., n:, :, :]
+    m = (np.swapaxes(a[..., 0], -1, -2) @ ad[..., 1]
+         - np.swapaxes(ad[..., 0], -1, -2) @ a[..., 1])
+    ij = int_j(th[..., :, None, 0], th[..., None, :, 1], t1[..., None, None],
+               t2[..., None, None])
+    ij = 2.0 * ij - i0[..., :, None, 0] * i0[..., None, :, 1]
+    return v, np.real(-0.5j * np.sum(ij * m, axis=(-3, -2, -1)))
 
 
-def config_generators(setup: SequenceSetup, si, sj):
-    """Generators of the reference-relative propagator for one qubit
-    configuration, in time order.
+def config_generators(setup: SequenceSetup, configs=CONFIG_S):
+    """Generators of the reference-relative propagator for each qubit
+    configuration in configs, in time order, from one batched pass: one
+    path_frames eigh, one static_heisenberg_map call and one batch of the
+    segments of all driven pulses of all configurations.
 
     Late generators are conjugated through the intervening static factors:
     their coefficient vectors transform with the transpose of the
     accumulated Heisenberg map, which is exactly how the field-free
-    reference cancels the statics.  The segments of all driven pulses are
-    evaluated in one batch.
+    reference cancels the statics.
     """
-    path = path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-    dressed = {cfg: normal_form(setup.ws, setup.coupling(*cfg))
-               for cfg in set(path)}
-    driven = []  # (t1, t2, coef, map of the statics before) per pulse
-    t_map = None
-    for p, cfg in enumerate(path):
-        if p in setup.field_pulses and setup.gamma != 0.0:
-            driven.append(pulse_segment_coefs(setup, dressed[cfg],
-                                              p * setup.tau) + (t_map,))
-        if p < len(path) - 1:
-            s_p = static_heisenberg_map(setup.ws, dressed[cfg], setup.tau,
-                                        p * setup.tau, (p + 1) * setup.tau)
-            t_map = s_p if t_map is None else s_p @ t_map
+    driven = setup.driven_pulses
     if not driven:
-        return []
-    t1s, t2s, coefs, maps = zip(*driven)
-    v, phase = segment_generators(
-        np.concatenate(t1s), np.concatenate(t2s),
-        Coef(np.concatenate([c.beta for c in coefs]),
-             np.concatenate([c.theta for c in coefs])))
-    seg_maps = [m for m, t1 in zip(maps, t1s) for _ in t1]
-    return [(vs if m is None else m.T @ vs, ph)
-            for vs, ph, m in zip(v, phase, seg_maps)]
+        return [[] for _ in configs]
+    wt, o = path_frames(setup, configs)
+    t_a = setup.tau * np.arange(setup.pulse_count)
+    statics = static_heisenberg_map(setup.ws, (wt, o), setup.tau, t_a,
+                                    t_a + setup.tau)
+    # maps[p]: accumulated map of the statics before pulse p
+    maps = [np.broadcast_to(np.eye(2 * setup.n_modes), statics[:, 0].shape)]
+    for p in range(driven[-1]):
+        maps.append(statics[:, p] @ maps[-1])
+    t1, t2, coef = pulse_segment_coefs(setup, (wt[:, driven], o[:, driven]),
+                                       t_a[driven])
+    v, phase = segment_generators(t1, t2, coef)
+    v = (v[..., None, :] @ np.stack(maps, axis=1)[:, driven, None])[..., 0, :]
+    return [list(zip(vc.reshape(-1, v.shape[-1]), pc.ravel()))
+            for vc, pc in zip(v, phase)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,26 +432,24 @@ def gaussian_u_rel(gens, n_modes):
 
 def thermal_overlap(alpha_c, phase_c, alpha_cp, phase_cp, nbars):
     """Thermal expectation of U_rel[c']^dag U_rel[c] over independent
-    geometric occupations (untruncated)."""
+    geometric occupations (untruncated); the leading axes of the
+    displacements (mode axis last) and phases broadcast."""
     beta = alpha_c - alpha_cp
-    ph = (phase_c - phase_cp
-          - float(np.sum(np.imag(alpha_cp * np.conj(alpha_c)))))
-    mag = math.exp(-float(np.sum((np.asarray(nbars, float) + 0.5)
-                                 * np.abs(beta) ** 2)))
+    ph = phase_c - phase_cp - np.sum(np.imag(alpha_cp * np.conj(alpha_c)),
+                                     axis=-1)
+    mag = np.exp(-np.sum((np.asarray(nbars, float) + 0.5)
+                         * np.abs(beta) ** 2, axis=-1))
     return mag * np.exp(1j * ph)
 
 
 def gaussian_wmat(setup: SequenceSetup, nbars):
     """4x4 channel matrix W[c, c'] = <U_c'^dag U_c> over the thermal state."""
-    disp = []
-    for si, sj in CONFIG_S:
-        gens = config_generators(setup, si, sj)
-        disp.append(gaussian_u_rel(gens, setup.n_modes))
-    w = np.zeros((4, 4), dtype=complex)
-    for c in range(4):
-        for cp in range(4):
-            w[c, cp] = thermal_overlap(disp[c][0], disp[c][1],
-                                       disp[cp][0], disp[cp][1], nbars)
+    disp = [gaussian_u_rel(gens, setup.n_modes)
+            for gens in config_generators(setup)]
+    alpha = np.array([a for a, _ in disp])
+    phase = np.array([ph for _, ph in disp])
+    w = thermal_overlap(alpha[:, None], phase[:, None], alpha[None],
+                        phase[None], nbars)
     return w, disp
 
 
@@ -476,8 +501,7 @@ def dense_wmat(setup: SequenceSetup, dims, weights):
     """Channel matrix from dense truncated propagators, the test oracle of
     column_wmat; returns (W, us) with us[c] the full propagator."""
     idx, p = _weighted_columns(dims, weights)
-    us = [dense_u_rel(config_generators(setup, si, sj), dims)
-          for si, sj in CONFIG_S]
+    us = [dense_u_rel(gens, dims) for gens in config_generators(setup)]
     return _thermal_wmat([u[:, idx] for u in us], p), us
 
 
@@ -503,19 +527,22 @@ def mode_displacements(vad, dim):
     return expm_herm(vad * ad + np.conj(vad) * ad.T)
 
 
-def mode_factors(gens, dims):
-    """(us, phase) with exp(-i phase) kron_m us[m] the displacement product
-    on the truncated mode space: each generator is a sum of commuting
-    single-mode terms, so it exponentiates mode by mode exactly."""
+def mode_factors(gen_lists, dims):
+    """(us, phases) with exp(-i phases[c]) kron_m us[m][c] the displacement
+    product of gen_lists[c] (equally long) on the truncated mode space:
+    each generator is a sum of commuting single-mode terms, so it
+    exponentiates mode by mode exactly, for all lists in one batch."""
     n = len(dims)
-    v = np.reshape([vs for vs, _ in gens], (-1, 2 * n))
+    v = np.reshape([[vs for vs, _ in gens] for gens in gen_lists],
+                   (len(gen_lists), -1, 2 * n))
     # enforce Hermitian pairing against roundoff of the mapping
-    vad = 0.5 * (v[:, n:] + np.conj(v[:, :n]))
-    us = [np.eye(d, dtype=complex) for d in dims]
+    vad = 0.5 * (v[..., n:] + np.conj(v[..., :n]))
+    us = [np.broadcast_to(np.eye(d, dtype=complex), (len(v), d, d))
+          for d in dims]
     for m, d in enumerate(dims):
-        for factor in mode_displacements(vad[:, m], d):
+        for factor in np.moveaxis(mode_displacements(vad[..., m], d), 1, 0):
             us[m] = factor @ us[m]
-    return us, sum(ph for _, ph in gens)
+    return us, np.array([sum(ph for _, ph in gens) for gens in gen_lists])
 
 
 def column_wmat(setup: SequenceSetup, dims, weights):
@@ -523,13 +550,10 @@ def column_wmat(setup: SequenceSetup, dims, weights):
     <n|U_c'^dag U_c|n> = e^{i(phase_c' - phase_c)}
     prod_m (u_c'm^dag u_cm)[n_m, n_m] with mode_factors u, phase."""
     idx, p = _weighted_columns(dims, weights)
-    factors, phases = zip(*(mode_factors(config_generators(setup, si, sj),
-                                         dims) for si, sj in CONFIG_S))
+    factors, phases = mode_factors(config_generators(setup), dims)
     overlap = np.ones((4, 4, len(idx)), dtype=complex)
-    for m, n_m in enumerate(np.unravel_index(idx, dims)):
-        u = np.array([us[m] for us in factors])
+    for u, n_m in zip(factors, np.unravel_index(idx, dims)):
         overlap *= np.einsum("djk,cjk->cdk", np.conj(u), u)[:, :, n_m]
-    phases = np.array(phases)
     return np.exp(1j * (phases - phases[:, None])) * (overlap @ p)
 
 
@@ -540,14 +564,9 @@ def ideal_phases(setup: SequenceSetup):
     """Accumulated phase per qubit configuration of the reference-relative
     target gate: each driven pulse contributes -gamma^2 tau / (mu - w_com~)
     with w_com~ the shifted COM branch seen during that pulse."""
-    branch = {cfg: normal_form(setup.ws, setup.coupling(*cfg))[0][0]
-              for cfg in CONFIG_S}
-    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-             for si, sj in CONFIG_S]
-    return np.array([sum(-setup.gamma ** 2 * setup.tau
-                         / (setup.mu - branch[path[p]])
-                         for p in setup.field_pulses) for path in paths],
-                    dtype=float)
+    branch = path_frames(setup, CONFIG_S)[0][:, setup.driven_pulses, 0]
+    return np.sum(-setup.gamma ** 2 * setup.tau / (setup.mu - branch),
+                  axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -564,54 +583,40 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
     product whose generators are conjugated through the completed static
     factors. The mean is then S_ref(t) (m0 + d(t)) with d the accumulated
     displacement, exact for the partial segment as well since the dressed
-    drive stays linear.
+    drive stays linear.  The frames, statics and moments of all pulses and
+    samples are evaluated in one batch each.
     """
     n = setup.n_modes
-    path = path_of(si, sj, setup.echo_schedule, setup.pulse_count)
     m0 = np.asarray(m0, dtype=complex)
-    times = [0.0]
-    means = [m0[:n].copy()]
-    t_map = None                       # statics before the current pulse
-    s_ref = np.eye(2 * n, dtype=complex)  # statics of completed pulses
-
-    def mapped_partial(seg_coefs, ts):
-        """Mapped linear moments from the pulse start to each time in ts;
-        a segment not begun by t integrates over zero length."""
-        v = np.zeros((len(ts), 2 * n), dtype=complex)
-        if seg_coefs is not None:
-            t1, t2, coef = seg_coefs
-            te = np.clip(ts[:, None], t1, t2)
-            v = v + coef.m0(t1, te).sum(axis=1)
-        if t_map is not None:
-            v = v @ t_map
-        return v
-
+    wt, o = (x[0] for x in path_frames(setup, [(si, sj)]))
+    t_a = setup.tau * np.arange(setup.pulse_count)[:, None]
+    # samples inside every pulse, then the pulse end
+    ts = t_a + np.arange(1, samples_per_pulse + 1) * setup.tau \
+        / samples_per_pulse
+    t_all = np.append(ts, t_a + setup.tau, axis=1)
+    statics = static_heisenberg_map(setup.ws, (wt[:, None], o[:, None]),
+                                    t_all - t_a, t_a, t_all)
+    # linear moments from each pulse start to each time; a segment not
+    # begun by t integrates over zero length
+    moments = np.zeros(t_all.shape + (2 * n,), dtype=complex)
+    driven = setup.driven_pulses
+    if driven:
+        t1, t2, coef = pulse_segment_coefs(setup, (wt[driven], o[driven]),
+                                           t_a[driven, 0])
+        te = np.clip(t_all[driven][..., None], t1[:, None], t2[:, None])
+        moments[driven] = Coef(coef.beta[:, None], coef.theta[:, None]).m0(
+            t1[:, None], te).sum(axis=-2)
     alpha = np.zeros(n, dtype=complex)
-    for p, cfg in enumerate(path):
-        dressed = normal_form(setup.ws, setup.coupling(*cfg))
-        t_a = p * setup.tau
-        seg_coefs = None
-        if p in setup.field_pulses and setup.gamma != 0.0:
-            seg_coefs = pulse_segment_coefs(setup, dressed, t_a)
-        ts = t_a + np.arange(1, samples_per_pulse + 1) * setup.tau \
-            / samples_per_pulse
-        # moments and static maps at every sample and at the pulse end,
-        # each in one batch
-        t_all = np.append(ts, t_a + setup.tau)
-        w_all = mapped_partial(seg_coefs, t_all)
-        s_all = static_heisenberg_map(setup.ws, dressed,
-                                      np.append(ts - t_a, setup.tau), t_a,
-                                      t_all)
+    s_ref = np.eye(2 * n, dtype=complex)  # statics of completed pulses
+    means = [m0[:n]]
+    for s_all, w_all in zip(statics, moments):
+        w_all = w_all @ s_ref
         a_t = alpha + (-1j) * w_all[:-1, n:]
         d = np.concatenate([a_t, np.conj(a_t)], axis=-1)
-        mt = ((s_all[:-1] @ s_ref) @ (m0 + d)[..., None])[..., 0]
-        times.extend(ts.tolist())
-        means.extend(mt[:, :n])
+        means.extend(((s_all[:-1] @ s_ref) @ (m0 + d)[..., None])[:, :n, 0])
         alpha = alpha + (-1j) * w_all[-1, n:]
-        s_p = s_all[-1]
-        s_ref = s_p @ s_ref
-        t_map = s_p if t_map is None else s_p @ t_map
-    return np.array(times), np.array(means)
+        s_ref = s_all[-1] @ s_ref
+    return np.append(0.0, ts), np.array(means)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +675,7 @@ def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, max_step,
         # one compiled Hamiltonian
         h_p = dataclasses.replace(h, static=h.static[
             [CONFIG_S.index(path[pulse]) for path in paths]])
-        if pulse in setup.field_pulses and setup.gamma != 0.0:
+        if pulse in setup.driven_pulses:
             ys = _evolve._integrate(
                 h_p.stacked(t_a), cols.reshape(-1, cols.shape[-1]), t_a,
                 t_a + setup.tau, tol, step, atol=atol,

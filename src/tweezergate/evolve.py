@@ -43,7 +43,9 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
     The one integrator of the package. generator(t) returns an operator
     acting on Y; atol defaults to 1e-3 tol. Returns the flattened states
     at the times t_eval (default: t1 alone), one column each, read from
-    the steps' interpolants; no other step is stored.
+    the steps' interpolants; no other step is stored. tol, DOP853's
+    per-step rtol, does not bound the final state: at tol 1e-12 a short
+    gate's |11> run ends 2.2e-10 away from a solve at rtol 2.2e-14.
     """
     _check_tol(tol)
     y0 = np.asarray(state, dtype=complex)
@@ -138,14 +140,8 @@ def _qubit_vector(qubit_state):
 
 def _motional_vector(motional_state, space: hilbert.SpaceSpec):
     if isinstance(motional_state, (tuple, list)):
-        occ = tuple(motional_state)
         vec = np.zeros(space.mode_dim, dtype=complex)
-        idx = 0
-        for n_m, dim in zip(occ, space.mode_dims):
-            if not 0 <= n_m < dim:
-                raise ValueError("occupation outside the cutoff")
-            idx = idx * dim + n_m
-        vec[idx] = 1.0
+        vec[space.basis_index("0" * space.n_qubits, motional_state)] = 1.0
         return vec
     vec = np.asarray(motional_state, dtype=complex)
     if vec.shape != (space.mode_dim,):
@@ -189,7 +185,8 @@ def run_gate(config: drive.GateConfig, qubit_state, motional_state,
 
     backend "gaussian": exact displaced-oscillator composition; the final
     state is expressed in the per-configuration field-free reference frame.
-    backend "ode": adaptive integration (tolerance tol) of the literal
+    backend "ode": adaptive integration (DOP853, per-step rtol tol and
+    atol 1e-3 tol, which do not bound the final state) of the literal
     Hamiltonian, compiled by hamiltonian_terms, over the driven pulses,
     with the drive period resolved by at least 20 steps; field-free
     pulses, samples included, are exact closed-form exponentials of the
@@ -228,24 +225,19 @@ def _run_gaussian(config, modes, qvec, mot, label, space,
     setup = _exact.setup_from_config(config, modes)
     n = setup.n_modes
     out = np.zeros(space.dim, dtype=complex)
-    alpha_traj = None
-    times = None
-    for c, (si, sj) in enumerate(_exact.CONFIG_S):
-        weight = abs(qvec[c]) ** 2
-        if weight < 1e-24:
-            continue
-        gens = _exact.config_generators(setup, si, sj)
+    weighted = np.flatnonzero(np.abs(qvec) ** 2 >= 1e-24)
+    configs = [_exact.CONFIG_S[c] for c in weighted]
+    alphas = []
+    for c, cfg, gens in zip(weighted, configs,
+                            _exact.config_generators(setup, configs)):
         alpha, phase = _exact.gaussian_u_rel(gens, n)
         block = slice(c * space.mode_dim, (c + 1) * space.mode_dim)
         out[block] = qvec[c] * np.exp(1j * phase) * _displace_modes(
             mot, alpha, space)
-        t_s, means = _exact.config_trajectory(
-            setup, si, sj, np.zeros(2 * n, dtype=complex), samples_per_pulse)
-        contrib = weight * means[:, 0]
-        alpha_traj = contrib if alpha_traj is None else alpha_traj + contrib
-        times = t_s
-    traj = Trajectory(times, alpha_traj, label)
-    return out, traj
+        times, means = _exact.config_trajectory(
+            setup, *cfg, np.zeros(2 * n, dtype=complex), samples_per_pulse)
+        alphas.append(abs(qvec[c]) ** 2 * means[:, 0])
+    return out, Trajectory(times, np.sum(alphas, axis=0), label)
 
 
 @dataclasses.dataclass(frozen=True)

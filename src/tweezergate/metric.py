@@ -206,8 +206,9 @@ def reconstruct_channel(config: drive.GateConfig,
     (_exact.column_wmat); "ode" integrates the driven pulses numerically;
     "gaussian" evaluates the closed displacement form (its thermal average
     is over the untruncated ensemble, so it differs from the Fock-space
-    backends at the size of the truncated tail). tol and max_step are the
-    "ode" integrator's; max_step with another backend raises.
+    backends at the size of the truncated tail). tol (DOP853's per-step
+    relative tolerance, atol 1e-12; not a bound on W) and max_step are
+    the "ode" integrator's; max_step with another backend raises.
     """
     setup = _channel_setup(config, thermal, space, backend, max_step)
     return _channel(setup, config, thermal, space, backend, tol, max_step)
@@ -401,7 +402,7 @@ def fidelity_report(config: drive.GateConfig,
                     max_step=None) -> FidelityReport:
     """Reconstruct the channel, compare against the reference gate, and
     package the scores with a full parameter snapshot; all three read one
-    SequenceSetup."""
+    SequenceSetup. tol and max_step as in reconstruct_channel."""
     setup = _channel_setup(config, thermal, space, backend, max_step)
     channel = _channel(setup, config, thermal, space, backend, tol, max_step)
     ref = _ideal_gate(setup)

@@ -331,6 +331,8 @@ class TestRunGate:
             run_gate(cfg, "02", (0,), space)
         with pytest.raises(ValueError, match="cutoff"):
             run_gate(cfg, "01", (9,), hilbert.SpaceSpec(2, (4,)))
+        with pytest.raises(ValueError, match="length"):
+            run_gate(cfg, "01", (0, 0), space)
 
     def test_superposition_label_and_trajectory(self):
         cfg = config()

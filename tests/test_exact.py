@@ -5,6 +5,8 @@ time, with the same small-angle expansions; the engine evaluates them as
 arrays over the whole piece-pair outer product.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -331,13 +333,64 @@ def test_gaussian_wmat_matches_scalar_reference_table1():
 
 def test_generators_match_scalar_reference_fig2():
     setup, _ = preset_setup("fig2")
-    for si, sj in _exact.CONFIG_S:
-        gens = _exact.config_generators(setup, si, sj)
+    for (si, sj), gens in zip(_exact.CONFIG_S,
+                              _exact.config_generators(setup)):
         ref = config_generators_ref(setup, si, sj)
         assert len(gens) == len(ref)
         for (v, ph), (v_ref, ph_ref) in zip(gens, ref):
             np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-15)
             assert ph == pytest.approx(ph_ref, rel=1e-12, abs=1e-15)
+
+
+def random_setup(n, data, ratio, detuning_khz, ramp, mask):
+    """Setup of an n-mode crystal (all modes retained) with a random
+    ordered pair."""
+    pair = (0, 1) if n == 1 else tuple(data.draw(
+        st.permutations(range(n)))[:2])
+    trap = crystal.TrapSpec(max(n, 2), calibrate.YB171_MASS_KG,
+                            calibrate.DEFAULT_COM_FREQUENCY)
+    cfg = drive.GateConfig(
+        trap=trap, pair=pair, field_amplitude=2.69e-4,
+        tweezer_frequency=ratio * trap.axial_frequency,
+        detuning=2 * np.pi * 1e3 * detuning_khz, ramp_fraction=ramp,
+        field_on_mask=mask)
+    return _exact.setup_from_config(
+        cfg, crystal.normal_modes(trap).restrict(range(n)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(),
+       ratio=st.floats(0.02, 0.3), detuning_khz=st.floats(-5.0, -0.3),
+       ramp=st.sampled_from((0.0, 0.016, 0.25)),
+       mask=st.sampled_from(((True, False, False, True),
+                             (True, False, False, False),
+                             (False, False, False, True))),
+       c=st.integers(0, 3))
+def test_batched_generators_match_scalar_reference(n, data, ratio,
+                                                   detuning_khz, ramp, mask,
+                                                   c):
+    # the one batched pass over all four configurations equals the scalar
+    # reference of configuration c (drawn: the reference costs seconds per
+    # configuration at n = 6), and a pass over c alone gives the same
+    setup = random_setup(n, data, ratio, detuning_khz, ramp, mask)
+    gens = _exact.config_generators(setup)
+    assert len(gens) == 4
+    ref = config_generators_ref(setup, *_exact.CONFIG_S[c])
+    assert len(gens[c]) == len(ref) == (3 if ramp else 1) * sum(mask)
+    for (v, ph), (v_ref, ph_ref) in zip(gens[c], ref):
+        np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-15)
+        assert ph == pytest.approx(ph_ref, rel=1e-12, abs=1e-15)
+    alone = _exact.config_generators(setup, [_exact.CONFIG_S[c]])
+    for (v, ph), (v_all, ph_all) in zip(alone[0], gens[c]):
+        np.testing.assert_allclose(v, v_all, rtol=1e-14, atol=1e-18)
+        assert ph == pytest.approx(ph_all, rel=1e-14, abs=1e-18)
+
+
+def test_field_off_gives_no_generators():
+    setup, _ = preset_setup("table1")
+    setup = dataclasses.replace(setup, gamma=0.0)
+    assert _exact.config_generators(setup) == [[], [], [], []]
+    assert _exact.config_generators(setup, [(1, -1)]) == [[]]
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3_twomode", "table1"])

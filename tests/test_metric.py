@@ -73,9 +73,8 @@ def column_reference_wmat(setup, dims, weights, columns):
     each propagated by column_u_rel."""
     ladders = _exact.sparse_ladders(dims)
     psi0 = np.eye(int(np.prod(dims)), dtype=complex)[:, columns]
-    cols = [column_u_rel(_exact.config_generators(setup, si, sj), ladders,
-                         psi0)
-            for si, sj in _exact.CONFIG_S]
+    cols = [column_u_rel(gens, ladders, psi0)
+            for gens in _exact.config_generators(setup)]
     return np.array([[np.sum(weights[columns]
                              * np.sum(np.conj(cols[cp]) * cols[c], axis=0))
                       for cp in range(4)] for c in range(4)])
@@ -438,8 +437,7 @@ class TestReconstructChannel:
             cfg, evolve.retained_modes(cfg, space))
         ladders = _exact.sparse_ladders(space.mode_dims)
         cols = []
-        for si, sj in _exact.CONFIG_S:
-            gens = _exact.config_generators(setup, si, sj)
+        for gens in _exact.config_generators(setup):
             psi0 = np.zeros(space.mode_dim, dtype=complex)
             psi0[0] = 1.0
             cols.append(column_u_rel(gens, ladders, psi0))
@@ -526,11 +524,12 @@ class TestColumnBackend:
 
     def test_mode_factors_are_kronecker_factors(self):
         setup, dims, _ = _thermal_multimode_point("fig3_twomode")
-        gens = _exact.config_generators(setup, 1, -1)
+        gens = _exact.config_generators(setup, [(1, -1)])
         us, phase = _exact.mode_factors(gens, dims)
-        u_dense = _exact.dense_u_rel(gens, dims)
-        np.testing.assert_allclose(np.exp(-1j * phase) * np.kron(*us),
-                                   u_dense, rtol=0, atol=1e-12)
+        u_dense = _exact.dense_u_rel(gens[0], dims)
+        np.testing.assert_allclose(
+            np.exp(-1j * phase[0]) * np.kron(*(u[0] for u in us)), u_dense,
+            rtol=0, atol=1e-12)
 
 
 class TestChannelFromPropagator:
@@ -565,8 +564,7 @@ class TestChannelFromPropagator:
         setup = _exact.setup_from_config(
             cfg, evolve.retained_modes(cfg, space))
         u = np.zeros((space.dim, space.dim), dtype=complex)
-        for c, (si, sj) in enumerate(_exact.CONFIG_S):
-            gens = _exact.config_generators(setup, si, sj)
+        for c, gens in enumerate(_exact.config_generators(setup)):
             blk = slice(c * space.mode_dim, (c + 1) * space.mode_dim)
             u[blk, blk] = _exact.dense_u_rel(gens, space.mode_dims)
         ch_lit = metric.channel_from_propagator(u, cfg, th, space)
