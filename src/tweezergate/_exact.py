@@ -633,9 +633,9 @@ def field_free_evolution(setup: SequenceSetup, dims, h, t_a, cols,
     n_blocks = h.static.shape[0]
     e_bare = np.asarray(setup.ws, float) @ np.indices(dims).reshape(
         len(dims), -1)
-    # h.stacked() evaluates the generator -i H
-    h_tw = 1j * h.stacked()(0.0).toarray().reshape(n_blocks, h.dim,
-                                                   n_blocks, h.dim)
+    # h.generator() evaluates -i H
+    h_tw = 1j * h.generator()(0.0).toarray().reshape(n_blocks, h.dim,
+                                                     n_blocks, h.dim)
     vals, vecs = np.linalg.eigh(np.einsum("aiaj->aij", h_tw)
                                 + np.diag(e_bare))
     coef = np.conj(np.swapaxes(vecs, 1, 2)) \
@@ -677,7 +677,7 @@ def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, max_step,
             [CONFIG_S.index(path[pulse]) for path in paths]])
         if pulse in setup.driven_pulses:
             ys = _evolve._integrate(
-                h_p.stacked(t_a), cols.reshape(-1, cols.shape[-1]), t_a,
+                h_p.generator(t_a), cols.reshape(-1, cols.shape[-1]), t_a,
                 t_a + setup.tau, tol, step, atol=atol,
                 t_eval=t_a + np.asarray(offsets, float))
             ys = ys.T.reshape((len(offsets),) + cols.shape)

@@ -424,6 +424,8 @@ def main(argv=None) -> int:
             raise ConfigError("--tol must lie in [1e-12, 1e-6]")
         if args.tol is not None and args.command not in _TOL_COMMANDS:
             raise ConfigError("--tol applies only to gate and phasespace")
+        if args.tol is not None and inputs.backend != "ode":
+            raise ConfigError("--tol applies only to the ode backend")
         if args.command != "modes":
             inputs.gate_config()  # physics validation before any file
         if args.command == "sweep":

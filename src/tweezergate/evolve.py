@@ -9,20 +9,25 @@ channel reconstruction uses); "ode" integrates the literal time-dependent
 Hamiltonian and returns the full interaction-picture state. The
 Hamiltonian is diagonal in the qubits, so the ODE state is the stack of
 the four qubit configurations' mode-space blocks, compiled into one
-right-hand side (CompiledHamiltonian). Only the driven pulses are
-integrated; field-free pulses are exact closed-form exponentials of the
-compiled static Hamiltonian (_exact.walk_pulses, shared with the ODE
-channel). _integrate is the package's one ODE solver call.
+block-diagonal generator (CompiledHamiltonian, PulseGenerator). Only the
+driven pulses are integrated; field-free pulses are exact closed-form
+exponentials of the compiled static Hamiltonian (_exact.walk_pulses,
+shared with the ODE channel). _integrate, the package's one ODE solver,
+is scipy's DOP853 written out for dY/dt = G(t) Y: the generators of all
+stage times of a step come from one evaluation and each stage applies
+its CSR data with scipy's compiled kernel.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import scipy.integrate
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import _exact, crystal, drive, hilbert
 
@@ -35,38 +40,201 @@ def _check_tol(tol):
             f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
 
 
+# DOP853 tableau and step-size constants of scipy.integrate.DOP853, whose
+# stepping, step-size control and dense output _integrate reproduces
+_DOP = scipy.integrate.DOP853
+_STAGE_C = np.append(_DOP.C[1:], 1.0)  # stage times of a step, over h
+# stage weights cast to complex once, not by np.dot at every stage
+_STAGE_A = [_DOP.A[s, :s].astype(complex) for s in range(1, _DOP.n_stages)]
+_EXTRA_A = [a[:s].astype(complex) for s, a in
+            enumerate(_DOP.A_EXTRA, start=_DOP.n_stages + 1)]
+_ERROR_EXPONENT = -1 / (_DOP.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+
+
+def _stage_ops(generator, n_rows, n_vecs):
+    """(evaluate, apply): evaluate(times) gives one generator operand per
+    time, and apply(operand, y, out) adds G(t) y to out.
+
+    A PulseGenerator gives the CSR data rows of all times from one
+    evaluation, applied by scipy's compiled CSR kernel; a plain callable
+    gives one operator per time."""
+    if isinstance(generator, PulseGenerator):
+        if n_vecs == 1:
+            head = (_sparsetools.csr_matvec, generator.dim, generator.dim)
+        else:
+            head = (_sparsetools.csr_matvecs, generator.dim, generator.dim,
+                    n_vecs)
+        return generator.data, functools.partial(
+            *head, generator.indptr, generator.indices)
+    shape = (n_rows,) if n_vecs == 1 else (n_rows, n_vecs)
+
+    def apply(op, y, out):
+        out += (op @ y.reshape(shape)).ravel()
+
+    return (lambda ts: [generator(t) for t in ts]), apply
+
+
+def _initial_step(evaluate, apply, t0, y, f, t1, direction, max_step, rtol,
+                  atol):
+    """scipy's select_initial_step for DOP853."""
+    def rms(x):
+        return np.linalg.norm(x) / x.size ** 0.5
+
+    interval = abs(t1 - t0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = np.zeros_like(f)
+    apply(evaluate((t0 + h0 * direction,))[0], y + h0 * direction * f, f1)
+    d2 = rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_DOP.error_estimator_order + 1))
+    return min(100 * h0, h1, interval, max_step)
+
+
+def _error_norm(k, h, scale):
+    """DOP853's scaled error of a step with stages k."""
+    err5 = np.dot(k.T, _DOP.E5) / scale
+    err3 = np.dot(k.T, _DOP.E3) / scale
+    err5_2 = np.linalg.norm(err5) ** 2
+    err3_2 = np.linalg.norm(err3) ** 2
+    if err5_2 == 0 and err3_2 == 0:
+        return 0.0
+    return np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2)
+                                        * len(scale))
+
+
 def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
                t_eval=None):
     """Solve dY/dt = G(t) Y, G = -i H, with DOP853 for a vector or a
     matrix Y.
 
-    The one integrator of the package. generator(t) returns an operator
-    acting on Y; atol defaults to 1e-3 tol. Returns the flattened states
-    at the times t_eval (default: t1 alone), one column each, read from
-    the steps' interpolants; no other step is stored. tol, DOP853's
-    per-step rtol, does not bound the final state: at tol 1e-12 a short
-    gate's |11> run ends 2.2e-10 away from a solve at rtol 2.2e-14.
+    The one integrator of the package: scipy's DOP853 (its tableau,
+    initial step, step-size control and dense output, in the same
+    operation order) stepping a linear system. generator is a
+    PulseGenerator, which evaluates the twelve stage generators of a step
+    in one pass and applies each with the compiled CSR kernel, or any
+    callable t -> operator acting on Y. atol defaults to 1e-3 tol.
+    Returns the flattened states at the times t_eval (default: t1 alone;
+    sorted in the direction of integration, within [t0, t1]), one column
+    each, read from the steps' interpolants; no other step is stored.
+    tol, DOP853's per-step rtol, does not bound the final state: at tol
+    1e-12 a short gate's |11> run ends 2.2e-10 away from a solve at rtol
+    2.2e-14.
     """
     _check_tol(tol)
+    t0, t1 = float(t0), float(t1)
+    if max_step is None:
+        max_step = np.inf
+    elif max_step <= 0:
+        raise ValueError("max_step must be positive")
+    t_eval = np.asarray((t1,) if t_eval is None else t_eval, dtype=float)
+    if t_eval.ndim != 1:
+        raise ValueError("t_eval must be one-dimensional")
+    if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
+        raise ValueError("t_eval must lie within [t0, t1]")
+    steps = np.diff(t_eval)
+    if t1 > t0 and np.any(steps <= 0) or t1 < t0 and np.any(steps >= 0):
+        raise ValueError("t_eval must be sorted in the direction of "
+                         "integration")
+    rtol = tol
+    atol = np.asarray(tol * 1e-3 if atol is None else atol)
     y0 = np.asarray(state, dtype=complex)
-    shape = (len(y0), y0.size // len(y0))
-    if shape[1] == 1:
-        def rhs(t, y):
-            return generator(t) @ y
-    else:
-        def rhs(t, y):
-            return (generator(t) @ y.reshape(shape)).ravel()
+    y = y0.ravel()
+    n = y.size
+    if n == 0 or t0 == t1:
+        return np.repeat(y[:, None], len(t_eval), axis=1)
+    evaluate, apply = _stage_ops(generator, len(y0), n // len(y0))
+    direction = np.sign(t1 - t0)
+    # K[s] accumulates the stage derivative s of a step; rows 13-15 hold
+    # the extra stages of the dense output
+    k_ext = np.zeros((_DOP.A_EXTRA.shape[1], n), dtype=complex)
+    k = k_ext[:_DOP.n_stages + 1]
+    k_t = [k[:s].T for s in range(1, _DOP.n_stages)]
+    k_ext_t = [k_ext[:s].T for s in range(_DOP.n_stages + 1,
+                                          k_ext.shape[0])]
 
-    sol = scipy.integrate.solve_ivp(
-        rhs, (t0, t1), y0.ravel(), method="DOP853", rtol=tol,
-        atol=tol * 1e-3 if atol is None else atol,
-        max_step=np.inf if max_step is None else max_step,
-        t_eval=(t1,) if t_eval is None else t_eval)
-    if not sol.success:
-        t_fail = sol.t[-1] if len(sol.t) else t0
-        raise RuntimeError(
-            f"integration failed at t = {t_fail:.9e} s: {sol.message}")
-    return sol.y
+    f = np.zeros(n, dtype=complex)
+    apply(evaluate((t0,))[0], y, f)
+    h_abs = _initial_step(evaluate, apply, t0, y, f, t1, direction,
+                          max_step, rtol, atol)
+
+    if direction < 0:
+        t_eval = t_eval[::-1]
+    i_eval = 0 if direction > 0 else len(t_eval)
+    out = []
+    t = t0
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    f"integration failed at t = {t:.9e} s: required step "
+                    "size is less than spacing between numbers")
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            ops = evaluate(t + _STAGE_C * h)
+            k[0] = f
+            k[1:] = 0.0
+            for s, (kt, a, op) in enumerate(zip(k_t, _STAGE_A, ops), 1):
+                apply(op, y + np.dot(kt, a) * h, k[s])
+            y_new = y + h * np.dot(k[:-1].T, _DOP.B)
+            apply(ops[-1], y_new, k[-1])
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _error_norm(k, h, scale)
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, k[-1].copy()
+
+        if direction > 0:
+            i_new = t_eval.searchsorted(t, side="right")
+            t_step = t_eval[i_eval:i_new]
+        else:
+            i_new = t_eval.searchsorted(t, side="left")
+            t_step = t_eval[i_new:i_eval][::-1]
+        if t_step.size > 0:
+            # scipy's Dop853DenseOutput over the step just taken
+            ops = evaluate(t_old + _DOP.C_EXTRA * h)
+            k_ext[_DOP.n_stages + 1:] = 0.0
+            for s, (kt, a, op) in enumerate(zip(k_ext_t, _EXTRA_A, ops),
+                                            _DOP.n_stages + 1):
+                apply(op, y_old + np.dot(kt, a) * h, k_ext[s])
+            poly = np.empty((3 + len(_DOP.D), n), dtype=complex)
+            f_old, delta_y = k_ext[0], y - y_old
+            poly[0] = delta_y
+            poly[1] = h * f_old - delta_y
+            poly[2] = 2 * delta_y - h * (f + f_old)
+            poly[3:] = h * np.dot(_DOP.D, k_ext)
+            x = ((t_step - t_old) / (t - t_old))[:, None]
+            ys = np.zeros((len(x), n), dtype=complex)
+            for i, p in enumerate(reversed(poly)):
+                ys += p
+                ys *= x if i % 2 == 0 else 1 - x
+            ys += y_old
+            out.append(ys.T)
+            i_eval = i_new
+        if direction * (t - t1) >= 0:
+            break
+    return np.hstack(out) if out else np.zeros((n, 0), dtype=complex)
 
 
 def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):
@@ -262,35 +430,59 @@ class CompiledHamiltonian:
     tau: float
     ramp_time: float
 
-    def stacked(self, t_a=None):
-        """t -> the block-diagonal generator -i H(t) of all blocks, the
-        operator _integrate takes, refilled in place on every call. The
-        field follows the envelope of the pulse starting at t_a; t_a None
-        leaves it off."""
-        n_blocks, nnz = self.static.shape[0], self.data.shape[1]
+    def generator(self, t_a=None) -> PulseGenerator:
+        """The block-diagonal generator -i H(t) of all blocks, the
+        operator _integrate takes. The field follows the envelope of the
+        pulse starting at t_a; t_a None leaves it off."""
+        return PulseGenerator(self, t_a)
+
+
+class PulseGenerator:
+    """-i H(t) of a CompiledHamiltonian on the block-diagonal CSR pattern
+    of its blocks, with the field of the pulse starting at t_a (None: off).
+
+    data(ts) gives the CSR data of every time in ts from one exp and one
+    coefficient-matrix product; calling it with one time gives the
+    operator."""
+
+    def __init__(self, h: CompiledHamiltonian, t_a=None):
+        n_blocks, nnz = h.static.shape[0], h.data.shape[1]
         shift = np.arange(n_blocks)[:, None]
-        h = sp.csr_matrix(
+        pattern = sp.csr_matrix(
             (np.zeros(n_blocks * nnz, dtype=complex),
-             (self.indices + shift * self.dim).ravel(),
-             np.append(0, (self.indptr[1:] + shift * nnz).ravel())),
-            shape=(n_blocks * self.dim,) * 2)
-        blocks = h.data.reshape(n_blocks, nnz)
-        rates = 1j * self.freqs
+             (h.indices + shift * h.dim).ravel(),
+             np.append(0, (h.indptr[1:] + shift * nnz).ravel())),
+            shape=(n_blocks * h.dim,) * 2)
+        self.dim = pattern.shape[0]
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        self.h, self.t_a = h, t_a
+        self.rates = 1j * h.freqs
         # -i folded into the amplitudes; the flat top's are kept
-        static, field = -1j * self.static, -1j * self.field
-        flat_top = static + field
-        data, envelope = self.data, drive.ramp_envelope
-        tau, ramp_time = self.tau, self.ramp_time
+        self.static, self.field = -1j * h.static, -1j * h.field
+        self.flat_top = self.static + self.field
 
-        def at(t):
-            amp = static
-            if t_a is not None:
-                env = envelope(t - t_a, tau, ramp_time)
-                amp = flat_top if env == 1.0 else static + env * field
-            np.dot(amp * np.exp(rates * t), data, out=blocks)
-            return h
+    def data(self, ts):
+        """CSR data rows (len(ts), nnz) of the generator at the times ts.
+        The envelope is evaluated only at times on a ramp."""
+        ts = np.asarray(ts, dtype=float)
+        h, t_a = self.h, self.t_a
+        phases = np.exp(self.rates * ts[:, None])
+        amp = self.static if t_a is None else self.flat_top
+        coef = amp * phases[:, None, :]  # (times, blocks, terms)
+        if t_a is not None:
+            # t - t_a is monotonic in t, so the extreme times decide
+            # whether any time lies on a ramp (or outside the pulse)
+            edge = min(ts.min() - t_a, h.tau - (ts.max() - t_a))
+            for i, s in enumerate(ts - t_a if edge < h.ramp_time else ()):
+                env = drive.ramp_envelope(s, h.tau, h.ramp_time)
+                if env != 1.0:
+                    coef[i] = (self.static + env * self.field) * phases[i]
+        rows = coef.reshape(len(ts) * len(amp), -1)
+        return np.dot(rows, h.data).reshape(len(ts), -1)
 
-        return at
+    def __call__(self, t):
+        return sp.csr_matrix((self.data((t,))[0], self.indices, self.indptr),
+                             shape=(self.dim,) * 2)
 
 
 def hamiltonian_terms(setup: _exact.SequenceSetup, dims,

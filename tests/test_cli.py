@@ -229,6 +229,33 @@ class TestConfigErrors:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        ("gate", "fig2"), ("phasespace", "fig2"),
+        ("gate", fig2_doc(backend="fock"))])
+    def test_tol_rejected_without_ode_backend(self, tmp_path, capsys,
+                                              command, doc):
+        config = doc if isinstance(doc, str) else write_doc(tmp_path, doc)
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", config, "--tol", "1e-9",
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: --tol applies only to the ode backend"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_tol_reaches_ode_backend(self, tmp_path, monkeypatch):
+        seen = []
+
+        def report(*args, tol, **kw):
+            seen.append(tol)
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(cli.metric, "fidelity_report", report)
+        path = write_doc(tmp_path, fig2_doc(backend="ode"))
+        rc = cli.main(["gate", "--config", path, "--tol", "1e-9",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 3 and seen == [1e-9]
+
 
 class TestGate:
     def test_report_values_and_hash(self, tmp_path):

@@ -6,8 +6,11 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.constants as const
+import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import literal_hamiltonian
 from tweezergate import _exact, crystal, drive, evolve, hilbert, metric
@@ -115,6 +118,95 @@ class TestPropagate:
             propagate(h, np.array([1.0, 0.0], dtype=complex), 0.0, 2e-3)
 
 
+def scipy_dop853(generator, state, t0, t1, tol, max_step, t_eval):
+    """The same solve through scipy.integrate.solve_ivp: (states, nfev)."""
+    y0 = np.asarray(state, dtype=complex)
+
+    def rhs(t, y):
+        return (generator(t) @ y.reshape(y0.shape)).ravel()
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (t0, t1), y0.ravel(), method="DOP853", rtol=tol,
+        atol=1e-3 * tol, max_step=np.inf if max_step is None else max_step,
+        t_eval=t_eval)
+    assert sol.success
+    return sol.y, sol.nfev
+
+
+def random_generator(dim, seed):
+    h = random_h(dim, seed)
+    return lambda t: -1j * h(t)  # noqa: E731
+
+
+class TestStepper:
+    """evolve._integrate is scipy's DOP853 step for step: a step grid that
+    differs from scipy's shows up at about tol, far above these bounds."""
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    @pytest.mark.parametrize("t0, t1", [(0.0, 2e-4), (2e-4, 0.0)])
+    @pytest.mark.parametrize("binding", [False, True])
+    def test_matches_scipy(self, columns, t0, t1, binding):
+        dim, tol = 6, 1e-9
+        gen = random_generator(dim, seed=41)
+        rng = np.random.default_rng(43)
+        shape = (dim,) if columns is None else (dim, columns)
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        t_eval = np.linspace(t0, t1, 7)[1:]  # interior points and t1
+        max_step = 2e-6 if binding else None
+        want, nfev = scipy_dop853(gen, state, t0, t1, tol, max_step, t_eval)
+        if binding:  # the cap shortens scipy's own steps
+            assert nfev > scipy_dop853(gen, state, t0, t1, tol, None,
+                                       t_eval)[1]
+        got = evolve._integrate(gen, state, t0, t1, tol, max_step,
+                                t_eval=t_eval)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_compiled_generator_matches_scipy(self):
+        # the batched stage evaluation and the CSR kernel against the
+        # operator of each stage time through scipy
+        cfg = fast_config()
+        space = hilbert.SpaceSpec(2, (5,))
+        setup = _exact.setup_from_config(cfg,
+                                         evolve.retained_modes(cfg, space))
+        gen = hamiltonian_terms(setup, space.mode_dims).generator(0.0)
+        t1 = 0.25 * setup.tau  # the rising ramp and part of the flat top
+        t_eval = np.array([0.01, 0.02, 0.1, 1.0]) * t1
+        state = np.tile(np.eye(space.mode_dim)[:, :2], (4, 1))
+        for y0 in (state[:, 0], state):
+            want, _ = scipy_dop853(gen, y0, 0.0, t1, 1e-10, t1 / 100,
+                                   t_eval)
+            got = evolve._integrate(gen, y0, 0.0, t1, 1e-10, t1 / 100,
+                                    t_eval=t_eval)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.integers(2, 12), log_tol=st.floats(-12.0, -6.0),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_scipy_random(self, dim, log_tol, seed):
+        tol = 10.0 ** log_tol
+        gen = random_generator(dim, seed)
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        t_eval = np.sort(rng.uniform(0.0, 1e-4, size=3))
+        want, _ = scipy_dop853(gen, state, 0.0, 1e-4, tol, None, t_eval)
+        got = evolve._integrate(gen, state, 0.0, 1e-4, tol, None,
+                                t_eval=t_eval)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("t_eval, match", [
+        ([2e-5, 1e-5], "sorted"), ([1e-5, 2e-4], "within"),
+        ([-1e-6], "within"), ([[1e-5]], "one-dimensional")])
+    def test_t_eval_checked(self, t_eval, match):
+        gen = random_generator(3, seed=5)
+        with pytest.raises(ValueError, match=match):
+            evolve._integrate(gen, np.ones(3), 0.0, 1e-4, 1e-9, None,
+                              t_eval=t_eval)
+        if match == "sorted":  # the order is that of the integration
+            evolve._integrate(gen, np.ones(3), 1e-4, 0.0, 1e-9, None,
+                              t_eval=t_eval)
+
+
 class TestPropagator:
     def test_zero_hamiltonian_identity(self):
         h = lambda t: sp.csr_matrix((3, 3))  # noqa: E731
@@ -175,15 +267,15 @@ class TestHamiltonianTerms:
         return (h_tw(t) + env * h_field(t)).toarray()
 
     def test_matches_drive_factories(self):
-        # the stacked operator of a field pulse starting at t = 0 is the
+        # the generator of a field pulse starting at t = 0 is the
         # literal H(t), which is block diagonal in the configurations
         d = self.space.mode_dim
-        stacked = self.h.stacked(0.0)
+        gen = self.h.generator(0.0)
         rng = np.random.default_rng(17)
         tau = self.cfg.pulse_duration
         for t in np.append(rng.uniform(0.0, tau, size=8), 0.005 * tau):
             ref = self.literal(t, float(drive.envelope(t, 0, self.cfg)))
-            got = 1j * stacked(t).toarray()  # stacked evaluates -i H
+            got = 1j * gen(t).toarray()  # the generator is -i H
             scale = np.abs(ref).max()
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9 * scale)
             for c in range(4):
@@ -194,13 +286,13 @@ class TestHamiltonianTerms:
     def test_field_off_and_pulse_offset(self):
         tau = self.cfg.pulse_duration
         t = 3.004 * tau
-        h_off = 1j * self.h.stacked()(t).toarray()
+        h_off = 1j * self.h.generator()(t).toarray()
         np.testing.assert_allclose(h_off, self.literal(t, 0.0), rtol=0,
                                    atol=1e-9 * np.abs(h_off).max())
         # the envelope runs from the pulse start t_a
         env = float(drive.envelope(t - 3 * tau, 3, self.cfg))
         assert 0.0 < env < 1.0
-        h_on = 1j * self.h.stacked(3 * tau)(t).toarray()
+        h_on = 1j * self.h.generator(3 * tau)(t).toarray()
         np.testing.assert_allclose(h_on, self.literal(t, env), rtol=0,
                                    atol=1e-9 * np.abs(h_on).max())
 
@@ -239,8 +331,8 @@ class TestHamiltonianTerms:
         d = self.space.mode_dim
         path = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
         got = hamiltonian_terms(self.setup, self.space.mode_dims,
-                                path).stacked(0.0)(0.37e-3).toarray()
-        ref = self.h.stacked(0.0)(0.37e-3).toarray()
+                                path).generator(0.0)(0.37e-3).toarray()
+        ref = self.h.generator(0.0)(0.37e-3).toarray()
         for c, cfg in enumerate(path):
             r = _exact.CONFIG_S.index(cfg)
             np.testing.assert_allclose(
@@ -253,7 +345,8 @@ class TestHamiltonianTerms:
         # K_c = w_tw^2 (s_i + s_j) / 2 for the uniform COM participation
         modes = self.modes.restrict([0])
         setup = _exact.setup_from_config(self.cfg, modes)
-        h = 1j * hamiltonian_terms(setup, (4,)).stacked()(1.3e-6).toarray()
+        gen = hamiltonian_terms(setup, (4,)).generator()
+        h = 1j * gen(1.3e-6).toarray()
         w = modes.frequencies[0]
         unit = self.cfg.tweezer_frequency ** 2 / (4 * w)
         for c, (si, sj) in enumerate(_exact.CONFIG_S):
@@ -265,7 +358,7 @@ class TestHamiltonianTerms:
         setup = _exact.setup_from_config(cfg, self.modes)
         h = hamiltonian_terms(setup, self.space.mode_dims)
         assert h.freqs.size == 0
-        assert h.stacked(0.0)(1e-6).nnz == 0
+        assert h.generator(0.0)(1e-6).nnz == 0
 
 
 class TestRunGate:
@@ -475,9 +568,9 @@ class TestPulseWalker:
         got = _exact.field_free_evolution(setup, dims, h, t_a,
                                           [np.eye(d)] * 4, offsets)
         cap = (2 * np.pi / setup.mu) / 20
-        want = evolve._integrate(h.stacked(None), np.tile(np.eye(d), (4, 1)),
-                                 t_a, t_a + tau, 1e-12, cap,
-                                 t_eval=t_a + offsets)
+        want = evolve._integrate(h.generator(None),
+                                 np.tile(np.eye(d), (4, 1)), t_a, t_a + tau,
+                                 1e-12, cap, t_eval=t_a + offsets)
         want = want.T.reshape(len(offsets), 4, d, d)
         assert np.abs(got - want).max() < 1e-9
 
