@@ -21,7 +21,10 @@ intervening static factors via their exact Heisenberg action on
 xi = (a_1..a_N, a^dag_1..a^dag_N) cancels every static factor, leaving a
 pure product of displacements. Two materializations are provided:
 'gaussian' (scalar displacement composition, exact, no Hilbert space) and
-column_wmat on the truncated Fock space, from per-mode d_m x d_m factors;
+column_wmat on the truncated Fock space, from per-mode d_m x d_m factors
+(each a phase-rotated copy of one cached eigenbasis of the truncated
+a + a^dag, so no eigendecomposition runs per call) summed against the
+per-mode thermal weights, at a cost of sum_m d_m and never prod_m d_m;
 plus an independent check, ode_wmat. It and run_gate(backend="ode") share
 one pulse walker, walk_pulses: only the driven pulses are integrated with
 the package's ODE solver (evolve.hamiltonian_terms, evolve._integrate),
@@ -32,6 +35,7 @@ kept as the test oracle of column_wmat.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -519,12 +523,29 @@ def sparse_ladders(dims):
     return a_ops, [m.conj().T.tocsr() for m in a_ops]
 
 
+@functools.lru_cache(maxsize=None)
+def _position_eigensystem(dim):
+    """Real eigensystem (x, V) of a + a^dag truncated to dim levels, with
+    a + a^dag = V diag(x) V^T; computed once per dimension, read-only."""
+    q = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    x, v = np.linalg.eigh(q + q.T)
+    x.flags.writeable = False
+    v.flags.writeable = False
+    return x, v
+
+
 def mode_displacements(vad, dim):
     """exp(-i (vad a^dag + conj(vad) a)) on one mode truncated to dim
-    levels, stacked over the axes of vad."""
-    ad = np.diag(np.sqrt(np.arange(1, dim)), -1)
-    vad = np.asarray(vad, complex)[..., None, None]
-    return expm_herm(vad * ad + np.conj(vad) * ad.T)
+    levels, stacked over the axes of vad.
+
+    With vad = r e^{i phi} the generator is r D (a + a^dag) D^dag,
+    D = diag(e^{i phi n}), so the factor is D V diag(e^{-i r x}) V^T D^dag
+    with (x, V) the fixed eigensystem of the truncated a + a^dag."""
+    x, v = _position_eigensystem(dim)
+    vad = np.asarray(vad, complex)
+    core = (v * np.exp(-1j * np.abs(vad)[..., None, None] * x)) @ v.T
+    d = np.exp(1j * np.angle(vad)[..., None] * np.arange(dim))
+    return d[..., :, None] * core * np.conj(d)[..., None, :]
 
 
 def mode_factors(gen_lists, dims):
@@ -546,15 +567,26 @@ def mode_factors(gen_lists, dims):
 
 
 def column_wmat(setup: SequenceSetup, dims, weights):
-    """Channel matrix over the Fock columns of nonzero thermal weight:
-    <n|U_c'^dag U_c|n> = e^{i(phase_c' - phase_c)}
-    prod_m (u_c'm^dag u_cm)[n_m, n_m] with mode_factors u, phase."""
-    idx, p = _weighted_columns(dims, weights)
+    """Channel matrix on the truncated Fock space from per-mode thermal
+    weights, weights[m] the occupation probabilities of the d_m levels of
+    mode m. The thermal state and every U_c'^dag U_c are products over
+    the modes, so with mode_factors u, phase
+    W[c, c'] = e^{i(phase_c' - phase_c)}
+    prod_m sum_n p_m(n) (u_c'm^dag u_cm)[n, n],
+    which costs sum_m d_m per configuration pair, not prod_m d_m."""
+    weights = [np.asarray(p, float) for p in weights]
+    if len(weights) != len(dims) or any(
+            p.shape != (d,) for p, d in zip(weights, dims)):
+        raise ValueError("column_wmat needs one weight vector per mode, "
+                         "of length d_m")
+    if not all(np.all(p >= 0.0) for p in weights):
+        raise ValueError("thermal weights must be nonnegative")
     factors, phases = mode_factors(config_generators(setup), dims)
-    overlap = np.ones((4, 4, len(idx)), dtype=complex)
-    for u, n_m in zip(factors, np.unravel_index(idx, dims)):
-        overlap *= np.einsum("djk,cjk->cdk", np.conj(u), u)[:, :, n_m]
-    return np.exp(1j * (phases - phases[:, None])) * (overlap @ p)
+    w = np.exp(1j * (phases - phases[:, None]))
+    for u, p in zip(factors, weights):
+        u = u.reshape(len(u), -1)
+        w = w * ((u * np.tile(p, len(p))) @ np.conj(u).T)
+    return w
 
 
 # ---------------------------------------------------------------------------

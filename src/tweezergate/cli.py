@@ -247,7 +247,7 @@ def cmd_phasespace(inputs: RunInputs, out_dir: str, jobs: int,
         try:
             _, traj = evolve.run_gate(
                 cfg, label, occupations, inputs.space,
-                backend="gaussian" if inputs.backend != "ode" else "ode",
+                backend=inputs.backend,
                 samples_per_pulse=d["samples_per_pulse"],
                 tol=1e-9 if tol is None else tol)
         except Exception as exc:
@@ -426,6 +426,10 @@ def main(argv=None) -> int:
             raise ConfigError("--tol applies only to gate and phasespace")
         if args.tol is not None and inputs.backend != "ode":
             raise ConfigError("--tol applies only to the ode backend")
+        if args.command == "phasespace" and inputs.backend not in (
+                "gaussian", "ode"):
+            raise ConfigError(f"phasespace has no {inputs.backend} "
+                              "trajectory; use the gaussian or ode backend")
         if args.command != "modes":
             inputs.gate_config()  # physics validation before any file
         if args.command == "sweep":

@@ -79,9 +79,11 @@ class SpaceSpec:
 class ThermalEnsemble:
     """Independent thermal occupation per mode, truncated and renormalized.
 
-    weights() is the probability vector over retained Fock product states in
-    lexicographic order; tail_weight() the geometric-series mass lost to the
-    truncation before renormalization.
+    mode_weights(m) gives the occupation probabilities of mode m;
+    weights() their Kronecker product, the probability vector over
+    retained Fock product states in lexicographic order (prod_m d_m
+    entries, for the ode backend and the dense oracles); tail_weight() the
+    geometric-series mass lost to the truncation before renormalization.
     """
 
     nbar: tuple
@@ -142,7 +144,11 @@ def matched_temperature_nbar(nbar_ref: float, frequency_ratio: float) -> float:
     if nbar_ref == 0:
         return 0.0
     beta = math.log(1.0 + 1.0 / nbar_ref)
-    return 1.0 / (math.expm1(beta * frequency_ratio))
+    try:
+        return 1.0 / (math.expm1(beta * frequency_ratio))
+    except OverflowError:
+        # occupation ~ exp(-beta ratio), below the smallest normal float
+        return 0.0
 
 
 def equal_temperature_ensemble(nbar_com: float, frequencies,

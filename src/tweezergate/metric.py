@@ -202,7 +202,7 @@ def reconstruct_channel(config: drive.GateConfig,
 
     Backends agree on the physics and differ in method and cost: "fock"
     and "column" are one method, the truncated Fock-space channel composed
-    from per-mode factors over the Fock columns of nonzero thermal weight
+    from per-mode factors and summed against the per-mode thermal weights
     (_exact.column_wmat); "ode" integrates the driven pulses numerically;
     "gaussian" evaluates the closed displacement form (its thermal average
     is over the untruncated ensemble, so it differs from the Fock-space
@@ -218,7 +218,9 @@ def _channel(setup, config, thermal, space, backend, tol, max_step):
     if backend == "gaussian":
         w, _ = _exact.gaussian_wmat(setup, thermal.nbar)
     elif backend in ("fock", "column"):
-        w = _exact.column_wmat(setup, space.mode_dims, thermal.weights())
+        w = _exact.column_wmat(setup, space.mode_dims,
+                               [thermal.mode_weights(m)
+                                for m in range(space.n_modes)])
     elif backend == "ode":
         w, _ = _exact.ode_wmat(setup, space.mode_dims, thermal.weights(),
                                rtol=tol, max_step=max_step)

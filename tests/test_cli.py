@@ -256,6 +256,20 @@ class TestConfigErrors:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 3 and seen == [1e-9]
 
+    @pytest.mark.parametrize("backend", ["fock", "column"])
+    def test_phasespace_rejects_truncated_backends(self, tmp_path, capsys,
+                                                   backend):
+        # phasespace has a gaussian and an ode trajectory only; a fock or
+        # column config must not run the gaussian one under its name
+        path = write_doc(tmp_path, fig2_doc(backend=backend))
+        out = tmp_path / "never"
+        rc = cli.main(["phasespace", "--config", path,
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert (f"config error: phasespace has no {backend} trajectory"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestGate:
     def test_report_values_and_hash(self, tmp_path):

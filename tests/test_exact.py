@@ -9,7 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweezergate import _exact
@@ -421,3 +422,34 @@ def test_static_heisenberg_map_batches_offsets(name):
             want = _exact.static_heisenberg_map(setup.ws, dressed, dt, t_a,
                                                 t_a + dt)
             np.testing.assert_allclose(s_dt, want, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# single-mode displacement factors against the literal exponential
+
+
+def mode_displacement_ref(vad, dim):
+    """expm(-i (vad a^dag + conj(vad) a)) of the literal truncated
+    generator."""
+    ad = np.diag(np.sqrt(np.arange(1.0, dim)), -1)
+    return scipy.linalg.expm(-1j * (vad * ad + np.conj(vad) * ad.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 25),
+       shape=st.sampled_from(((), (6,), (2, 3), (3, 1, 2))),
+       mags=st.lists(st.floats(0.0, 6.0), min_size=6, max_size=6),
+       phis=st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6))
+@example(dim=1, shape=(), mags=[2.5] * 6, phis=[0.7] * 6)
+@example(dim=12, shape=(2, 3), mags=[0.0] * 6, phis=[1.1] * 6)
+@example(dim=25, shape=(6,), mags=[6.0] * 6, phis=[-3.0] * 6)
+def test_mode_displacements_match_expm(dim, shape, mags, phis):
+    # the factors come from one cached eigenbasis of a + a^dag, rotated
+    # by the phase of vad, stacked over vad's axes
+    vad = (np.array(mags) * np.exp(1j * np.array(phis)))[
+        :int(np.prod(shape))].reshape(shape)
+    got = _exact.mode_displacements(vad, dim)
+    assert got.shape == shape + (dim, dim)
+    for idx in np.ndindex(*shape):
+        np.testing.assert_allclose(got[idx], mode_displacement_ref(
+            vad[idx], dim), rtol=0, atol=1e-13)

@@ -104,6 +104,12 @@ class TestMatchedTemperature:
     def test_zero_reference(self):
         assert matched_temperature_nbar(0.0, 2.0) == 0.0
 
+    def test_tiny_reference_underflows_to_zero(self):
+        # exp(beta ratio) exceeds the float range: the occupation is 0,
+        # not an OverflowError
+        assert matched_temperature_nbar(3.4e-272, math.sqrt(3.0)) == 0.0
+        assert 0.0 < matched_temperature_nbar(1e-300, 1.0) < 1e-299
+
     def test_monotone_in_ratio(self):
         vals = [matched_temperature_nbar(1.0, r) for r in (1.0, 1.5, 2.0, 3.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))

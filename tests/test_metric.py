@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from tweezergate import _exact
@@ -483,7 +485,9 @@ class TestReconstructChannel:
         assert f == pytest.approx(0.9998231, abs=5e-6)
 
 
-def _thermal_multimode_point(name):
+def _thermal_multimode_point(name, nbars=None):
+    """(setup, dims, thermal) at a multimode point; nbars replaces the
+    equal-temperature occupations."""
     if name == "fig3_twomode":
         cfg = config()
         cutoffs, nbar_com = (14, 10), 0.6
@@ -496,31 +500,88 @@ def _thermal_multimode_point(name):
     thermal = hilbert.equal_temperature_ensemble(
         nbar_com, crystal.normal_modes(cfg.trap).restrict(
             range(len(cutoffs))).frequencies, cutoffs)
-    return setup, space.mode_dims, thermal.weights()
+    if nbars is not None:
+        thermal = hilbert.ThermalEnsemble(nbars, cutoffs)
+    return setup, space.mode_dims, thermal
+
+
+def mode_weights(thermal):
+    return [thermal.mode_weights(m) for m in range(len(thermal.nbar))]
 
 
 class TestColumnBackend:
     @pytest.mark.parametrize("name", ["fig3_twomode", "table1"])
     def test_thermal_multimode_matches_references(self, name):
-        setup, dims, p = _thermal_multimode_point(name)
-        w = _exact.column_wmat(setup, dims, p)
+        setup, dims, thermal = _thermal_multimode_point(name)
+        w = _exact.column_wmat(setup, dims, mode_weights(thermal))
+        p = thermal.weights()
         ref = column_reference_wmat(setup, dims, p, np.arange(len(p)))
         np.testing.assert_allclose(w, ref, rtol=0, atol=1e-12)
         w_dense, _ = _exact.dense_wmat(setup, dims, p)
         np.testing.assert_allclose(w, w_dense, rtol=0, atol=1e-12)
 
     def test_zero_weight_columns_skipped(self):
-        setup, dims, p = _thermal_multimode_point("table1")
-        levels = np.unique(p)[::-1]
-        kept = np.flatnonzero(p > 0.5 * (levels[3] + levels[4]))
-        assert 0 < len(kept) < len(p)
-        p_kept = np.zeros_like(p)
-        p_kept[kept] = p[kept]
-        w = _exact.column_wmat(setup, dims, p_kept)
+        # spectators at nbar 0 weight only their ground state: the
+        # per-mode sums equal the oracle over the flat vector's nonzero
+        # columns, the COM's levels with every spectator in |0>
+        setup, dims, thermal = _thermal_multimode_point(
+            "table1", nbars=(0.3, 0.0, 0.0, 0.0))
+        p = thermal.weights()
+        kept = np.flatnonzero(p)
+        assert len(kept) == dims[0] < len(p)
+        w = _exact.column_wmat(setup, dims, mode_weights(thermal))
         np.testing.assert_allclose(
             w, column_reference_wmat(setup, dims, p, kept),
             rtol=0, atol=1e-12)
-        assert np.max(np.abs(w - _exact.column_wmat(setup, dims, p))) > 1e-6
+        # warm spectators move W by far more than that tolerance
+        _, _, warm = _thermal_multimode_point("table1")
+        assert np.max(np.abs(
+            w - _exact.column_wmat(setup, dims, mode_weights(warm)))) > 1e-8
+
+    @pytest.mark.parametrize("weights, match", [
+        ([np.ones(6) / 6] * 3, "one weight vector per mode"),
+        ([np.ones(6) / 6] + [np.ones(3) / 3] * 4,
+         "one weight vector per mode"),
+        ([np.ones(6) / 6, np.ones(4) / 4] + [np.ones(3) / 3] * 2,
+         "one weight vector per mode"),
+        ([np.ones(18) / 18] + [np.ones(3) / 3] * 3,
+         "one weight vector per mode"),
+        ([np.ones(6 * 27) / 162], "one weight vector per mode"),
+        ([np.array([1.2, -0.2, 0, 0, 0, 0])] + [np.ones(3) / 3] * 3,
+         "nonnegative"),
+        ([np.ones(6) / 6, np.array([1.0, np.nan, 0.0])]
+         + [np.ones(3) / 3] * 2, "nonnegative"),
+    ], ids=["too-few-modes", "too-many-modes", "wrong-length",
+            "flattened-pair", "flat-vector", "negative", "nan"])
+    def test_column_wmat_rejects_bad_weights(self, weights, match):
+        setup, dims, _ = _thermal_multimode_point("table1")
+        assert dims == (6, 3, 3, 3)
+        with pytest.raises(ValueError, match=match):
+            _exact.column_wmat(setup, dims, weights)
+
+    def test_all_mode_column_at_n16_within_tail(self):
+        # central pair of a 16-ion crystal with every mode retained, at
+        # w_tw ~ sqrt(N) and nbar_com 0.3: the flat weight vector would
+        # have 13 * 4**15 ~ 1.4e10 entries; the per-mode sums need 73.
+        # The truncated and untruncated thermal averages differ by the
+        # weight beyond the cutoffs, so the bound is the tail weight.
+        n = 16
+        cfg = config(trap=trap(n), pair=(n // 2 - 1, n // 2),
+                     tweezer_frequency=0.25 * W_COM * math.sqrt(n / 4),
+                     detuning=-2 * math.pi * 1e3)
+        cutoffs = (12,) + (3,) * (n - 1)
+        space = hilbert.SpaceSpec(2, cutoffs)
+        modes = evolve.retained_modes(cfg, space)
+        thermal = hilbert.equal_temperature_ensemble(0.3, modes.frequencies,
+                                                     cutoffs)
+        tail = thermal.tail_weight()
+        assert 1e-6 < tail < 1e-4
+        ch = metric.reconstruct_channel(cfg, thermal, space,
+                                        backend="column")
+        w_g, _ = _exact.gaussian_wmat(_exact.setup_from_config(cfg, modes),
+                                      thermal.nbar)
+        np.testing.assert_allclose(ch.overlaps, w_g, rtol=0, atol=tail)
+        assert np.max(np.abs(w_g - np.eye(4))) > 100 * tail
 
     def test_mode_factors_are_kronecker_factors(self):
         setup, dims, _ = _thermal_multimode_point("fig3_twomode")
@@ -530,6 +591,46 @@ class TestColumnBackend:
         np.testing.assert_allclose(
             np.exp(-1j * phase[0]) * np.kron(*(u[0] for u in us)), u_dense,
             rtol=0, atol=1e-12)
+
+
+def tail_cutoffs(nbars, floors, tail=1e-6):
+    """Smallest cutoffs, at least floors, whose truncated thermal tails
+    sum to at most tail."""
+    out = []
+    for nb, floor in zip(nbars, floors):
+        c = floor
+        while nb > 0 and (nb / (nb + 1.0)) ** (c + 1) > tail / len(nbars):
+            c += 1
+        out.append(c)
+    return tuple(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), data=st.data(),
+       tweezer_khz=st.floats(120.0, 300.0),
+       detuning_khz=st.sampled_from((-1.0, -2.0)),
+       nbar_com=st.floats(0.0, 0.5))
+def test_fock_and_gaussian_agree_on_random_points(n, data, tweezer_khz,
+                                                  detuning_khz, nbar_com):
+    # all n modes retained, an ordered pair, thermal tail at most 1e-6;
+    # each report builds its QuantumChannel, whose constructor checks
+    # trace preservation and complete positivity
+    pair = tuple(data.draw(st.permutations(range(n)))[:2])
+    cfg = config(trap=trap(n), pair=pair,
+                 tweezer_frequency=2 * math.pi * 1e3 * tweezer_khz,
+                 detuning=2 * math.pi * 1e3 * detuning_khz)
+    modes = crystal.normal_modes(cfg.trap)
+    nbars = hilbert.equal_temperature_ensemble(
+        nbar_com, modes.frequencies, (1,) * n).nbar
+    cutoffs = tail_cutoffs(nbars, (6,) + (2,) * (n - 1))
+    thermal = hilbert.ThermalEnsemble(nbars, cutoffs)
+    assert thermal.tail_weight() <= 1e-6
+    space = hilbert.SpaceSpec(2, cutoffs)
+    f_f, f_g = (metric.fidelity_report(cfg, thermal, space,
+                                       backend=backend).fidelity
+                for backend in ("fock", "gaussian"))
+    assert 0.0 <= f_f <= 1.0 and 0.0 <= f_g <= 1.0
+    assert abs(f_f - f_g) < 5e-6
 
 
 class TestChannelFromPropagator:
