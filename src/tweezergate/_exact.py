@@ -13,7 +13,7 @@ integrals evaluated in closed form.  The phase is the second-order
 pieces of one branch of a mode cancel, so only the 6 x 6 opposite-branch
 piece pairs of each dressed mode contribute: O(N) double moments per
 segment. config_generators evaluates the generators of all four qubit
-configurations in one batched pass.
+configurations in one batched pass, over frames solved once per setup.
 
 The channel only needs the propagator relative to the field-free
 reference. Conjugating the late displacement factors through the
@@ -244,6 +244,7 @@ class SequenceSetup:
     coupling(si, sj) returns the mode-basis curvature matrix for one spin
     configuration of the addressed pair; bcom the drive weights on the bare
     modes (COM normal coordinate by convention); ramp_time in seconds.
+    frames is solved on first use and cached for the life of the setup.
     """
 
     ws: tuple
@@ -266,6 +267,14 @@ class SequenceSetup:
         """Pulses with the field on; none when gamma is 0."""
         return [p for p in range(self.pulse_count)
                 if p in self.field_pulses and self.gamma != 0.0]
+
+    @functools.cached_property
+    def frames(self):
+        """normal_form(ws, K) of the CONFIG_S configurations; read-only."""
+        wt, o = normal_form(self.ws, np.array([self.coupling(*cfg)
+                                               for cfg in CONFIG_S]))
+        wt.flags.writeable = o.flags.writeable = False
+        return wt, o
 
 
 def setup_from_config(config, modes) -> SequenceSetup:
@@ -314,14 +323,11 @@ def path_of(si, sj, echo_schedule, pulse_count):
 
 def path_frames(setup: SequenceSetup, configs):
     """Dressed frames (wt, o) per (configuration, pulse) along the spin
-    paths of configs, from one stacked eigh of the distinct spin
-    configurations."""
-    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-             for si, sj in configs]
-    distinct = sorted(set().union(*paths))
-    wt, o = normal_form(setup.ws, np.array([setup.coupling(*cfg)
-                                            for cfg in distinct]))
-    frame = [[distinct.index(cfg) for cfg in path] for path in paths]
+    paths of configs, indexed from setup.frames."""
+    wt, o = setup.frames
+    frame = [[CONFIG_S.index(cfg) for cfg in path_of(
+        si, sj, setup.echo_schedule, setup.pulse_count)]
+        for si, sj in configs]
     return wt[frame], o[frame]
 
 
@@ -392,9 +398,9 @@ def segment_generators(t1, t2, coef):
 
 def config_generators(setup: SequenceSetup, configs=CONFIG_S):
     """Generators of the reference-relative propagator for each qubit
-    configuration in configs, in time order, from one batched pass: one
-    path_frames eigh, one static_heisenberg_map call and one batch of the
-    segments of all driven pulses of all configurations.
+    configuration in configs, in time order, from one batched pass over
+    the setup's dressed frames: one static_heisenberg_map call and one
+    batch of the segments of all driven pulses of all configurations.
 
     Late generators are conjugated through the intervening static factors:
     their coefficient vectors transform with the transpose of the

@@ -344,7 +344,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
 
     if jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs) as pool:
+                max_workers=min(jobs, len(pending))) as pool:
             futures = {pool.submit(_point_worker, args): args[0]
                        for args in pending}
             for fut in concurrent.futures.as_completed(futures):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -209,8 +210,7 @@ def _write_csv(path, header, rows, config_hash):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_modes(inputs: RunInputs, out_dir: str, jobs: int,
@@ -374,6 +374,8 @@ def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
 
 # commands that run the ode backend and so read --tol
 _TOL_COMMANDS = ("gate", "phasespace")
+# commands that run points in a process pool and so read --jobs
+_JOBS_COMMANDS = ("sweep", "table4")
 
 _COMMANDS = {
     "modes": cmd_modes,
@@ -384,6 +386,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process, on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tweezergate",
@@ -404,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: config out_dir "
                              "or the working directory)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweeps")
+        sp.add_argument("--jobs", type=int, default=None,
+                        help="sweep and table4 worker processes (default 1)")
         sp.add_argument("--tol", type=float, default=None,
                         help="integration tolerance for the ode backend "
                              "(gate and phasespace only)")
@@ -418,8 +421,10 @@ def main(argv=None) -> int:
         doc = load_document(args.config)
         inputs = build_inputs(doc)
         out_dir = args.out_dir or inputs.doc["out_dir"] or "."
-        if args.jobs < 1:
+        if args.jobs is not None and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
+        if args.jobs is not None and args.command not in _JOBS_COMMANDS:
+            raise ConfigError("--jobs applies only to sweep and table4")
         if args.tol is not None and not 1e-12 <= args.tol <= 1e-6:
             raise ConfigError("--tol must lie in [1e-12, 1e-6]")
         if args.tol is not None and args.command not in _TOL_COMMANDS:
@@ -439,7 +444,7 @@ def main(argv=None) -> int:
         return 2
     try:
         os.makedirs(out_dir, exist_ok=True)
-        files = _COMMANDS[args.command](inputs, out_dir, args.jobs,
+        files = _COMMANDS[args.command](inputs, out_dir, args.jobs or 1,
                                         args.tol)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

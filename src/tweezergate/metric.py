@@ -3,18 +3,18 @@
 The echoed gate acts on the two addressed qubits; the motion is traced
 out after the sequence.  A channel is represented by the images of the
 16 two-qubit Pauli operators (lexicographic {1, x, y, z} x {1, x, y, z},
-first factor = first qubit of the pair).  For the qubit-diagonal
-evolution produced by this gate every image is the elementwise product
-of the Pauli with a single 4x4 overlap matrix
-W[c, c'] = <U_c'^dag U_c>_thermal, which the backends in _exact compute;
+first factor = first qubit of the pair), one read-only 16 x 4 x 4 stack.
+For the qubit-diagonal evolution of this gate the stack is the Pauli
+stack times a single 4x4 overlap matrix W[c, c'] = <U_c'^dag U_c>_thermal
+elementwise, which the backends in _exact compute;
 channel_from_propagator instead takes the literal partial trace of an
 arbitrary composite-space propagator and is used for cross checks.
 
 Average process fidelity follows the standard two-qubit formula
 F = (sum_l tr[U sigma_l^dag U^dag E(sigma_l)] + d^2) / (d^2 (d + 1))
-with d = 4.  The reference gate is built from the same per-pulse
-dressed-mode phase accumulation the exact engine uses, with the global
-phase removed.
+with d = 4, as one contraction of the Pauli stack with the image stack.
+The reference gate is built from the same per-pulse dressed-mode phase
+accumulation the exact engine uses, with the global phase removed.
 """
 
 import cmath
@@ -34,7 +34,6 @@ _SIGMA_1 = (np.eye(2, dtype=complex), hilbert.SIGMA_X, hilbert.SIGMA_Y,
             hilbert.SIGMA_Z)
 _PAULI_STACK = np.array([np.kron(a, b) for a in _SIGMA_1 for b in _SIGMA_1])
 _PAULI_STACK.flags.writeable = False
-_PAULIS = tuple(_PAULI_STACK)  # read-only views
 
 _BACKENDS = ("gaussian", "fock", "column", "ode")
 _TAIL_LIMIT = 1e-4
@@ -43,7 +42,7 @@ _TAIL_LIMIT = 1e-4
 def paulis16():
     """The 16 two-qubit Pauli operators in lexicographic order (shared,
     read-only), with hilbert's sigma_z convention."""
-    return _PAULIS
+    return _PAULI_STACK
 
 
 def pauli_labels():
@@ -55,12 +54,13 @@ class QuantumChannel:
     """Two-qubit channel as Pauli images, with the thermal context that
     produced it.
 
-    overlaps is the 4x4 matrix W[c, c'] = <U_c'^dag U_c> over the thermal
-    ensemble (qubit configurations ordered 00, 01, 10, 11); for the
-    qubit-diagonal gate evolution images[l] = sigma_l * W elementwise.
+    images is the read-only 16 x 4 x 4 stack of E(sigma_l); overlaps is
+    the 4x4 matrix W[c, c'] = <U_c'^dag U_c> over the thermal ensemble
+    (qubit configurations ordered 00, 01, 10, 11); for the qubit-diagonal
+    gate evolution images[l] = sigma_l * W elementwise.
     """
 
-    images: tuple
+    images: np.ndarray
     overlaps: np.ndarray
     nbar: tuple
     cutoffs: tuple
@@ -68,9 +68,10 @@ class QuantumChannel:
     backend: str
 
     def __post_init__(self):
-        imgs = tuple(np.asarray(m, dtype=complex) for m in self.images)
-        if len(imgs) != 16 or any(m.shape != (4, 4) for m in imgs):
+        imgs = np.array(self.images, dtype=complex)
+        if imgs.shape != (16, 4, 4):
             raise ValueError("a channel needs 16 images of shape 4x4")
+        imgs.flags.writeable = False
         object.__setattr__(self, "images", imgs)
         object.__setattr__(self, "overlaps",
                            np.asarray(self.overlaps, dtype=complex))
@@ -95,8 +96,7 @@ class QuantumChannel:
         """
         # E(|i><j|) = sum_l conj(sigma_l[i, j]) E(sigma_l) / 4 is the
         # block at rows 4a + i, columns 4b + j
-        choi = np.einsum("lij,lab->aibj", np.conj(_PAULI_STACK),
-                         np.array(self.images))
+        choi = np.einsum("lij,lab->aibj", np.conj(_PAULI_STACK), self.images)
         return choi.reshape(16, 16) / 4.0
 
 
@@ -227,10 +227,9 @@ def _channel(setup, config, thermal, space, backend, tol, max_step):
     else:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"choose from {_BACKENDS}")
-    images = tuple(sig * w for sig in _PAULIS)
-    return QuantumChannel(images=images, overlaps=w, nbar=thermal.nbar,
-                          cutoffs=space.mode_cutoffs, config=config,
-                          backend=backend)
+    return QuantumChannel(images=_PAULI_STACK * w, overlaps=w,
+                          nbar=thermal.nbar, cutoffs=space.mode_cutoffs,
+                          config=config, backend=backend)
 
 
 def channel_from_propagator(u: np.ndarray, config: drive.GateConfig,
@@ -254,7 +253,7 @@ def channel_from_propagator(u: np.ndarray, config: drive.GateConfig,
     v = u.reshape(4, space.mode_dim, 4, space.mode_dim)
     # T[c, q, c', q'] = sum_n p_n tr_mot(U(|c><c'| kron |n><n|)U^dag)[q, q']
     t = np.einsum("qmcf,rmdf,f->cqdr", v, np.conj(v), p, optimize=True)
-    images = tuple(np.einsum("cd,cqdr->qr", sig, t) for sig in _PAULIS)
+    images = np.einsum("lcd,cqdr->lqr", _PAULI_STACK, t)
     # restriction of T to qubit-diagonal blocks; equals W when U is
     # qubit-diagonal
     w = np.array([[t[c, c, cp, cp] for cp in range(4)] for c in range(4)])
@@ -361,9 +360,7 @@ def process_fidelity(channel: QuantumChannel, ideal) -> float:
         raise ValueError("reference gate must be a 4x4 matrix")
     if np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-8:
         raise ValueError("reference gate must be unitary")
-    tot = 0.0 + 0.0j
-    for sig, img in zip(_PAULIS, channel.images):
-        tot += np.trace(u @ sig.conj().T @ u.conj().T @ img)
+    tot = np.vdot(_PAULI_STACK, u.conj().T @ channel.images @ u)
     if abs(tot.imag) > 1e-8:
         raise ValueError("fidelity sum acquired an imaginary part; "
                          "channel images are inconsistent")

@@ -1,5 +1,6 @@
 """Calibration rules, frequency corrections, sweeps, and the pair study."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -390,6 +391,31 @@ class TestRunSweep:
                                    config=config(), cutoffs=(10,))
         with pytest.raises(ValueError, match="jobs"):
             calibrate.run_sweep(spec, jobs=0)
+
+    def test_pool_no_larger_than_pending_points(self, tmp_path,
+                                                monkeypatch):
+        # under fork every worker starts at the first submit, so the pool
+        # is sized by the points left to run, cached ones not counted
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        spec = calibrate.SweepSpec(
+            axis="tweezer_frequency",
+            grid=tuple(r * calibrate.DEFAULT_COM_FREQUENCY
+                       for r in (0.20, 0.22, 0.24)),
+            config=config(), cutoffs=(10,))
+        cache = str(tmp_path / "cache")
+        calibrate.run_sweep(dataclasses.replace(spec, grid=spec.grid[:1]),
+                            cache_dir=cache)
+        pts = calibrate.run_sweep(spec, jobs=6, cache_dir=cache)
+        assert sizes == [2]
+        assert all(p.ok for p in pts)
 
     def test_threshold_crossings(self):
         spec = calibrate.SweepSpec(

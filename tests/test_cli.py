@@ -270,6 +270,62 @@ class TestConfigErrors:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gate", "phasespace", "modes"])
+    def test_jobs_rejected_where_ignored(self, tmp_path, capsys, command):
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", "fig2", "--jobs", "2",
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: --jobs applies only to sweep and table4"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_jobs_defaults_to_one_worker(self, tmp_path, monkeypatch):
+        seen = []
+
+        def sweep(spec, jobs):
+            seen.append(jobs)
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(cli.calibrate, "run_sweep", sweep)
+        rc = cli.main(["sweep", "--config", "fig3_twomode",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 3 and seen == [1]
+
+
+class TestSharedParser:
+    """main parses every call with one parser built once per process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_tol_does_not_leak_into_next_call(self, tmp_path, monkeypatch):
+        seen = []
+
+        def report(*args, tol, **kw):
+            seen.append(tol)
+            raise RuntimeError("stop after the call")
+
+        monkeypatch.setattr(cli.metric, "fidelity_report", report)
+        path = write_doc(tmp_path, fig2_doc(backend="ode"))
+        for extra in (["--tol", "1e-10"], []):
+            rc = cli.main(["gate", "--config", path,
+                           "--out-dir", str(tmp_path / "out")] + extra)
+            assert rc == 3
+        assert seen == [1e-10, 1e-9]
+
+    def test_parse_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gate", "--jobs", "two"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["gate", "--config", "fig2",
+                         "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "gate_report.json").read_text())
+        assert payload["report"]["fidelity"] == pytest.approx(
+            0.9998231207075691, rel=1e-12)
+
 
 class TestGate:
     def test_report_values_and_hash(self, tmp_path):

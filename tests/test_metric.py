@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from tweezergate import _exact
+from tweezergate import cli
 from tweezergate import crystal
 from tweezergate import drive
 from tweezergate import evolve
@@ -286,6 +287,35 @@ class TestProcessFidelity:
     def test_rejects_nonunitary_reference(self, fig_channel):
         with pytest.raises(ValueError, match="unitary"):
             metric.process_fidelity(fig_channel, np.zeros((4, 4)))
+
+    @staticmethod
+    def explicit_sum(channel, u):
+        """F from the 16 trace terms one by one."""
+        tot = sum(np.trace(u @ sig.conj().T @ u.conj().T @ img)
+                  for sig, img in zip(metric.paulis16(), channel.images))
+        return (tot.real + 16.0) / 80.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_explicit_sum_on_unitary_channels(self, seed):
+        cfg = config()
+        ch = unitary_channel(random_unitary(4, 10 + seed), cfg)
+        v = random_unitary(4, 20 + seed)
+        assert abs(np.diag(v)).max() < 1.0  # not diagonal
+        assert abs(metric.process_fidelity(ch, v)
+                   - self.explicit_sum(ch, v)) < 1e-14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_explicit_sum_on_propagator_channels(self, seed):
+        # literal partial trace of a random composite unitary: images
+        # that are not Pauli-times-W
+        cfg = config()
+        space = hilbert.SpaceSpec(2, (4,))
+        th = hilbert.ThermalEnsemble((0.05,), (4,))
+        ch = metric.channel_from_propagator(
+            random_unitary(space.dim, 30 + seed), cfg, th, space)
+        for v in (random_unitary(4, 40 + seed), np.eye(4)):
+            assert abs(metric.process_fidelity(ch, v)
+                       - self.explicit_sum(ch, v)) < 1e-14
 
 
 class TestQuantumChannel:
@@ -606,7 +636,7 @@ def tail_cutoffs(nbars, floors, tail=1e-6):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 6), data=st.data(),
+@given(n=st.integers(2, 8), data=st.data(),
        tweezer_khz=st.floats(120.0, 300.0),
        detuning_khz=st.sampled_from((-1.0, -2.0)),
        nbar_com=st.floats(0.0, 0.5))
@@ -631,6 +661,58 @@ def test_fock_and_gaussian_agree_on_random_points(n, data, tweezer_khz,
                 for backend in ("fock", "gaussian"))
     assert 0.0 <= f_f <= 1.0 and 0.0 <= f_g <= 1.0
     assert abs(f_f - f_g) < 5e-6
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 8), data=st.data(),
+       tweezer_khz=st.floats(120.0, 300.0),
+       detuning_khz=st.sampled_from((-1.0, -2.0)),
+       nbar_com=st.floats(0.0, 0.5))
+def test_ordered_mirror_gives_same_fidelity(n, data, tweezer_khz,
+                                            detuning_khz, nbar_com):
+    # reflecting the chain maps ion i to n-1-i; with qubit 0 kept on the
+    # image of its ion the gate is the same, so F agrees to roundoff
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    modes = crystal.normal_modes(trap(n))
+    nbars = hilbert.equal_temperature_ensemble(
+        nbar_com, modes.frequencies, (1,) * n).nbar
+    cutoffs = tail_cutoffs(nbars, (6,) + (2,) * (n - 1))
+    thermal = hilbert.ThermalEnsemble(nbars, cutoffs)
+    space = hilbert.SpaceSpec(2, cutoffs)
+    f = [metric.fidelity_report(
+        config(trap=trap(n), pair=pair,
+               tweezer_frequency=2 * math.pi * 1e3 * tweezer_khz,
+               detuning=2 * math.pi * 1e3 * detuning_khz),
+        thermal, space, backend="gaussian").fidelity
+        for pair in ((i, j), (n - 1 - i, n - 1 - j))]
+    assert abs(f[0] - f[1]) < 1e-12
+
+
+@pytest.mark.parametrize("preset", ["fig2", "table1"])
+@pytest.mark.parametrize("backend", ["gaussian", "column"])
+def test_warm_report_solves_dressed_frames_once(preset, backend,
+                                                monkeypatch):
+    # one stacked eigh of the four configurations' couplings per report;
+    # the mode, drive-frequency and Fock-eigenbasis caches are warm
+    inputs = cli.build_inputs(cli.load_document(preset))
+    cfg = inputs.gate_config()
+
+    def report():
+        return metric.fidelity_report(cfg, inputs.thermal, inputs.space,
+                                      backend=backend)
+
+    report()
+    shapes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    report()
+    n = inputs.space.n_modes
+    assert shapes == [(4, n, n)]
 
 
 class TestChannelFromPropagator:
