@@ -12,8 +12,9 @@ integrals evaluated in closed form.  The phase is the second-order
 (2009)); ladder operators of different dressed modes commute and the
 pieces of one branch of a mode cancel, so only the 6 x 6 opposite-branch
 piece pairs of each dressed mode contribute: O(N) double moments per
-segment. config_generators evaluates the generators of all four qubit
-configurations in one batched pass, over frames solved once per setup.
+segment, read from one exponential table. config_generators evaluates all
+four qubit configurations in one batched pass, over frames solved once
+per setup, with the static maps as matrix products over dressed modes.
 
 The channel only needs the propagator relative to the field-free
 reference. Conjugating the late displacement factors through the
@@ -53,12 +54,16 @@ _SMALL = 1e-8  # |theta (t2 - t1)| below which the expansions replace 1/theta
 
 def int0(th, t1, t2):
     """int_t1^t2 exp(i th t) dt"""
-    th, t1, t2 = np.broadcast_arrays(th, t1, t2)
+    return _int0(th, t1, t2, np.exp(1j * (th * t1)), np.exp(1j * (th * t2)))
+
+
+def _int0(th, t1, t2, e1, e2):
+    """int0 from its exponentials e1 = exp(i th t1), e2 = exp(i th t2)"""
     small = np.abs(th * (t2 - t1)) < _SMALL
-    out = np.asarray((np.exp(1j * (th * t2)) - np.exp(1j * (th * t1)))
-                     / (1j * np.where(small, 1.0, th)))
+    out = np.asarray((e2 - e1) / (1j * np.where(small, 1.0, th)))
     if small.any():
-        th, t1, t2 = th[small], t1[small], t2[small]
+        th, t1, t2 = (np.broadcast_to(x, small.shape)[small]
+                      for x in (th, t1, t2))
         out[small] = (t2 - t1) * np.exp(1j * th * 0.5 * (t1 + t2))
     return out
 
@@ -83,13 +88,17 @@ def int1(th, t1, t2, tc):
 
 def int_j(tha, thb, t1, t2):
     """int_{t1}^{t2} ds e^{i tha s} int_{t1}^{s} ds' e^{i thb s'}"""
+    return _int_j(tha, thb, t1, t2, np.exp(1j * (thb * t1)),
+                  int0(tha, t1, t2), int0(tha + thb, t1, t2))
+
+
+def _int_j(tha, thb, t1, t2, e1b, i0a, i0ab):
+    """int_j from exp(i thb t1), int0(tha) and int0(tha + thb)"""
     small = np.abs(thb * (t2 - t1)) < _SMALL
-    out = np.asarray((int0(tha + thb, t1, t2)
-                      - np.exp(1j * (thb * t1)) * int0(tha, t1, t2))
-                     / (1j * np.where(small, 1.0, thb)))
-    small = np.broadcast_to(small, out.shape)
+    out = np.asarray((i0ab - e1b * i0a) / (1j * np.where(small, 1.0, thb)))
     if small.any():
         # inner integral ~ (s - t1) e^{i thb (s+t1)/2}; drops O(thb^2)
+        small = np.broadcast_to(small, out.shape)
         tha, thb, t1, t2 = (np.broadcast_to(x, out.shape)[small]
                             for x in (tha, thb, t1, t2))
         out[small] = int1(tha + 0.5 * thb, t1, t2, t1) \
@@ -111,13 +120,6 @@ class Coef:
         self.beta = np.asarray(beta, complex)
         self.theta = np.asarray(theta, float)
 
-    def m0(self, t1, t2):
-        """int_t1^t2 c_k(t) dt for every k; t1, t2 broadcast against the
-        batch axes."""
-        i0 = int0(self.theta, np.asarray(t1)[..., None],
-                  np.asarray(t2)[..., None])
-        return (self.beta @ i0[..., None])[..., 0]
-
 
 def double_moment(coef, t1, t2):
     """J[..., k, l] = int int_{s' < s} c_k(s) c_l(s') ds' ds over [t1, t2],
@@ -132,28 +134,26 @@ def double_moment(coef, t1, t2):
 # ---------------------------------------------------------------------------
 # envelope segmentation
 
-def env_pieces(kind, tr, t_a, tau):
-    """One envelope segment as exp pieces; the pulse spans [t_a, t_a+tau]."""
-    if kind == "flat":
-        return [(1.0, 0.0)]
-    k = np.pi / tr
-    if kind == "up":
-        # sin^2(pi (t - t_a) / (2 tr)) = 1/2 - cos(k (t - t_a))/2
-        return [(0.5, 0.0),
-                (-0.25 * np.exp(-1j * k * t_a), k),
-                (-0.25 * np.exp(1j * k * t_a), -k)]
+def envelope_pieces(t_a, tau, tr):
+    """Segments (t1, t2) of the pulses [t_a, t_a + tau], ramped up and down
+    over tr, and their envelopes as exp pieces (beta, theta), stacked
+    (..., segment, piece) after the axes of t_a; the flat envelope is
+    padded with zero pieces to the ramps' three, so segments stack."""
+    t_a = np.asarray(t_a, float)
     te = t_a + tau
-    return [(0.5, 0.0),
-            (-0.25 * np.exp(1j * k * te), -k),
-            (-0.25 * np.exp(-1j * k * te), k)]
-
-
-def segments(t_a, tau, tr):
     if tr <= 0:
-        return [("flat", t_a, t_a + tau)]
-    return [("up", t_a, t_a + tr),
-            ("flat", t_a + tr, t_a + tau - tr),
-            ("down", t_a + tau - tr, t_a + tau)]
+        return (t_a[..., None], te[..., None], np.ones(t_a.shape + (1, 1)),
+                np.zeros((1, 1)))
+    k = np.pi / tr
+    times = np.concatenate(
+        [t[..., None] for t in (t_a, t_a + tr, te - tr, te)], axis=-1)
+    beta = np.zeros(t_a.shape + (3, 3), dtype=complex)
+    beta[..., 0] = (0.5, 1.0, 0.5)
+    # rise 1/2 - cos(k (t - t_a)) / 2, fall 1/2 - cos(k (te - t)) / 2
+    beta[..., ::2, 1] = -0.25 * np.exp(1j * k * times[..., ::3] * (-1, 1))
+    beta[..., ::2, 2] = beta[..., ::2, 1].conj()
+    return (times[..., :-1], times[..., 1:], beta,
+            np.array([[0.0, k, -k], [0.0, 0.0, 0.0], [0.0, -k, k]]))
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +181,18 @@ def xcom_pieces(ws, wt, o, bcom):
     static quadratic part mixes position and momentum of every bare mode;
     projecting back gives the coefficient pieces of a_1..a_N and
     a^dag_1..a^dag_N in the elapsed time s: (beta, theta) with beta[2N, 2N]
-    and the shared frequencies theta = (-wt_0, wt_0, -wt_1, wt_1, ...),
-    stacked over the leading axes of the dressed frame (wt, o).
+    and the shared frequencies theta = (-wt_0, .., -wt_N-1, wt_0, ..,
+    wt_N-1), stacked over the leading axes of the dressed frame (wt, o).
     """
-    n_modes = len(ws)
     sw = np.sqrt(np.asarray(ws, float))
     proj = np.asarray(bcom, float) * sw  # drive weight in y = x sqrt(w)
     cmo = (proj @ o)[..., None, :] * o  # cmo[n, k] = (proj . o_k) o[n, k]
     c1 = cmo / sw[:, None]
     c2 = cmo * sw[:, None] / wt[..., None, :]
     plus, minus = 0.5 * (c1 + c2), 0.5 * (c1 - c2)
-    beta = np.concatenate([np.stack([plus, minus], axis=-1),
-                           np.stack([minus, plus], axis=-1)], axis=-3)
-    theta = np.stack([-wt, wt], axis=-1).reshape(wt.shape[:-1] + (-1,))
-    return beta.reshape(beta.shape[:-3] + (2 * n_modes, -1)), theta
+    return (np.concatenate([np.concatenate([plus, minus], axis=-1),
+                            np.concatenate([minus, plus], axis=-1)], axis=-2),
+            np.concatenate([-wt, wt], axis=-1))
 
 
 def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
@@ -202,36 +200,36 @@ def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
     s^dag xi s = S xi for s = R(t_b) exp(-i H0 dt) R(t_a)^dag, R the bare
     rotation exp(+i sum w_m (n_m + 1/2) t); dressed = normal_form(ws, K).
 
+    The position and momentum responses sum over the dressed branches k as
+    the matrix products O diag(f) O^T, f = (cos(wt dt), sin(wt dt) / wt,
+    wt sin(wt dt)) / 2, which the fixed sqrt(w) ratios then scale
+    elementwise.
     The leading axes of the dressed frame and dt, t_a, t_b broadcast
     against each other; the maps stack on them."""
     wt, o = dressed
-    sw = np.sqrt(np.asarray(ws, float))
-    dt, t_a, t_b = np.broadcast_arrays(*(np.asarray(t, float)
-                                         for t in (dt, t_a, t_b)))
-    wt = wt[..., None, None, :]
-    wdt = wt * dt[..., None, None, None]
-    ct = np.cos(wdt)
-    st = np.sin(wdt)
-    # position/momentum response summed over dressed branches k:
-    # oo[m, n, k] = o[m, k] o[n, k]
-    oo = o[..., :, None, :] * o[..., None, :, :]
-    ratio = (sw[:, None] / sw[None, :])[..., None]   # sw[m] / sw[n]
-    prod = (sw[:, None] * sw[None, :])[..., None]
-    c = np.sum(oo * ratio * ct, axis=-1)
-    s1 = np.sum(oo * prod / wt * st, axis=-1)
-    c2 = -np.sum(oo * wt / prod * st, axis=-1)
-    s2 = np.sum(oo * np.swapaxes(ratio, 0, 1) * ct, axis=-1)
-    a_blk = 0.5 * ((c + 1j * c2) - 1j * (s1 + 1j * s2))
-    b_blk = 0.5 * ((c + 1j * c2) + 1j * (s1 + 1j * s2))
-    mg = np.concatenate(
+    ws = np.asarray(ws, float)
+    sw = np.sqrt(ws)
+    wdt = wt * np.asarray(dt, float)[..., None]
+    st = 0.5 * np.sin(wdt)
+    f = np.concatenate([x[..., None, :] for x in (0.5 * np.cos(wdt), st / wt,
+                                                 wt * st)], axis=-2)
+    g = (o[..., None, :, :] * f[..., :, None, :]) \
+        @ o.swapaxes(-1, -2)[..., None, :, :]
+    cos_oo, sin_oo, wsin_oo = g[..., 0, :, :], g[..., 1, :, :], g[..., 2, :, :]
+    ratio = sw[:, None] / sw  # sw[m] / sw[n]
+    prod = sw[:, None] * sw
+    wsin_r = wsin_oo / prod
+    sin_r = sin_oo * prod
+    a_blk = cos_oo * (ratio + ratio.T) - 1j * (wsin_r + sin_r)
+    b_blk = cos_oo * (ratio - ratio.T) - 1j * (wsin_r - sin_r)
+    # the bare rotations: a_m picks up e^{i w_m t_b}, a_n e^{-i w_n t_a}
+    rot_b = np.exp(1j * np.multiply.outer(t_b, ws))[..., :, None]
+    rot_a = np.exp(1j * np.multiply.outer(t_a, ws))[..., None, :]
+    a_blk = rot_b * a_blk * rot_a.conj()
+    b_blk = rot_b * b_blk * rot_a
+    return np.concatenate(
         [np.concatenate([a_blk, b_blk], axis=-1),
          np.concatenate([b_blk.conj(), a_blk.conj()], axis=-1)], axis=-2)
-    ws_arr = np.asarray(ws, float)
-    wtb = ws_arr * t_b[..., None]
-    wta = ws_arr * t_a[..., None]
-    lam_b = np.concatenate([np.exp(1j * wtb), np.exp(-1j * wtb)], axis=-1)
-    lam_a = np.concatenate([np.exp(-1j * wta), np.exp(1j * wta)], axis=-1)
-    return (lam_b[..., :, None] * mg) * lam_a[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +332,11 @@ def path_frames(setup: SequenceSetup, configs):
 def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
     """(t1, t2, coef) for the segments of driven pulses starting at t_a in
     the dressed frames (wt, o) = normal_form(ws, K): the leading axes of
-    the frames and t_a broadcast, and the segments stack after them.  coef
-    rows are a_1..a_N, a^dag_1..a^dag_N, pieces (drive e, mode d, -/+ wt_d).
+    the frames and t_a broadcast, and the segments stack after the axes of
+    t_a.  coef = (env, env_theta, beta, theta) in product form: on segment
+    s, c_k(t) = sum_{e, j} env[s, e] beta[k, j] exp(i (env_theta[s, e] +
+    theta[j]) t), e the envelope pieces times e^{+-i mu t}, j the dressed
+    pieces of xcom_pieces, rows k a_1..a_N, a^dag_1..a^dag_N.
 
     Time is absolute; the dressed-frame pieces run in s = t - t_a, folded in
     as constant phases exp(-i theta t_a).
@@ -344,56 +345,50 @@ def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
     beta_x, theta_x = xcom_pieces(setup.ws, wt, o, setup.bcom)
     t_a = np.asarray(t_a, float)
     # ramps of at most tau / 4 leave every segment of positive length
-    segs = segments(t_a, setup.tau, setup.ramp_time)
-    # flat envelopes are padded with zero pieces to the ramps' three, so
-    # every segment (and every pulse of a sequence) stacks on one axis
-    n_env = 3 if setup.ramp_time > 0 else 1
-    beta_e = np.zeros(t_a.shape + (len(segs), n_env), dtype=complex)
-    theta_e = np.zeros(beta_e.shape)
-    for s, (kind, _, _) in enumerate(segs):
-        pieces = env_pieces(kind, setup.ramp_time, t_a, setup.tau)
-        for e, (b, th) in enumerate(pieces):
-            beta_e[..., s, e], theta_e[..., s, e] = b, th
+    t1, t2, beta_e, theta_e = envelope_pieces(t_a, setup.tau,
+                                              setup.ramp_time)
     # times 2 gamma cos(mu t): each envelope piece splits into +mu and -mu
-    beta_b = np.repeat(beta_e * setup.gamma, 2, axis=-1)
+    beta_b = (beta_e * setup.gamma).repeat(2, axis=-1)
     theta_b = (theta_e[..., None] + np.array([setup.mu, -setup.mu])
-               ).reshape(beta_b.shape)
-    beta = ((beta_b[..., :, None, :, None] * beta_x[..., None, :, None, :])
-            * np.exp(-1j * theta_x * t_a[..., None])[..., None, None, None,
-                                                      :])
-    theta = theta_b[..., :, :, None] + theta_x[..., None, None, :]
-    return (np.stack([t1 for _, t1, _ in segs], axis=-1),
-            np.stack([t2 for _, _, t2 in segs], axis=-1),
-            Coef(beta.reshape(beta.shape[:-2] + (-1,)),
-                 theta.reshape(theta.shape[:-2] + (-1,))))
+               ).reshape(theta_e.shape[:-1] + (-1,))
+    return t1, t2, (beta_b, theta_b, beta_x * np.exp(
+        -1j * theta_x * t_a[..., None])[..., None, :], theta_x)
 
 
 def segment_generators(t1, t2, coef):
     """Displacement generators (v, phase) of segments laid out as by
     pulse_segment_coefs: the linear moment and the commutator phase
-    sum_pq J[p, q] M[p, q] / 2i, M = A^T A^dag - (A^T A^dag)^T with A,
-    A^dag the a- and a^dag-rows of beta.  M is block diagonal over the
-    dressed modes (Blanes et al. 2009) and vanishes between pieces of one
-    branch (-wt or +wt), whose a- and a^dag-rows swap the same two
-    profiles; with J[p, q] + J[q, p] = I0[p] I0[q] the phase sums
-    (2 J[p, q] - I0[p] I0[q]) M[p, q] over p in (-wt), q in (+wt): 6 x 6
-    opposite-branch pairs per mode and ramped segment."""
-    n = coef.beta.shape[-2] // 2
-    t1, t2 = (np.asarray(t)[..., None] for t in (t1, t2))
-    i0 = int0(coef.theta, t1, t2)
-    v = (coef.beta @ i0[..., None])[..., 0]
-    # pieces (e, d, -/+) -> per dressed mode d and branch -/+ the pieces e
-    beta = np.moveaxis(coef.beta.reshape(coef.beta.shape[:-1] + (-1, n, 2)),
-                       -2, -4)
-    th, i0 = (np.moveaxis(x.reshape(x.shape[:-1] + (-1, n, 2)), -2, -3)
-              for x in (coef.theta, i0))
-    a, ad = beta[..., :n, :, :], beta[..., n:, :, :]
-    m = (np.swapaxes(a[..., 0], -1, -2) @ ad[..., 1]
-         - np.swapaxes(ad[..., 0], -1, -2) @ a[..., 1])
-    ij = int_j(th[..., :, None, 0], th[..., None, :, 1], t1[..., None, None],
-               t2[..., None, None])
-    ij = 2.0 * ij - i0[..., :, None, 0] * i0[..., None, :, 1]
-    return v, np.real(-0.5j * np.sum(ij * m, axis=(-3, -2, -1)))
+    sum_pq J[p, q] M[p, q] / 2i over the pieces p = (e, j), M = A^T A^dag
+    - (A^T A^dag)^T with A, A^dag the a- and a^dag-rows of the
+    coefficients.  M is block diagonal over the dressed modes (Blanes et
+    al. 2009) and vanishes between pieces of one branch (-wt or +wt),
+    whose a- and a^dag-rows swap the same two profiles; with J[p, q] +
+    J[q, p] = I0[p] I0[q] the phase sums (2 J[p, q] - I0[p] I0[q])
+    M[p, q] over p = (e, d-), q = (e', d+), 6 x 6 pairs per mode and
+    ramped segment, with M[p, q] = env[e] env[e'] Mx[d] in product form.
+    Every moment is read from one table of exp(i theta t1), exp(i theta
+    t2) per segment piece, the pair moments from its outer products."""
+    env, env_theta, beta, theta = coef
+    n = beta.shape[-1] // 2
+    t1, t2 = (np.asarray(t)[..., None, None] for t in (t1, t2))
+    th = env_theta[..., :, None] + theta[..., None, None, :]
+    e1, e2 = np.exp(1j * (th * t1)), np.exp(1j * (th * t2))
+    i0 = _int0(th, t1, t2, e1, e2)
+    v = beta[..., None, :, :] @ (env[..., None, :] @ i0)[..., 0, :, None]
+    # pairs (e, e', d) of the pieces (e, -wt_d) and (e', +wt_d)
+    tha, thb = th[..., :, None, :n], th[..., None, :, n:]
+    i0a = i0[..., :, None, :n]
+    t1, t2 = t1[..., None], t2[..., None]
+    i0ab = _int0(tha + thb, t1, t2,
+                 e1[..., :, None, :n] * e1[..., None, :, n:],
+                 e2[..., :, None, :n] * e2[..., None, :, n:])
+    ij = 2.0 * _int_j(tha, thb, t1, t2, e1[..., None, :, n:], i0a, i0ab) \
+        - i0a * i0[..., None, :, n:]
+    env = env[..., :, None, None]
+    q = (env * ij * env.swapaxes(-2, -3)).sum(axis=(-3, -2))
+    mx = (beta[..., :n, :n] * beta[..., n:, n:]
+          - beta[..., n:, :n] * beta[..., :n, n:]).sum(axis=-2)
+    return v[..., 0], (-0.5j * (mx[..., None, :] * q).sum(axis=-1)).real
 
 
 def config_generators(setup: SequenceSetup, configs=CONFIG_S):
@@ -412,16 +407,16 @@ def config_generators(setup: SequenceSetup, configs=CONFIG_S):
         return [[] for _ in configs]
     wt, o = path_frames(setup, configs)
     t_a = setup.tau * np.arange(setup.pulse_count)
-    statics = static_heisenberg_map(setup.ws, (wt, o), setup.tau, t_a,
-                                    t_a + setup.tau)
-    # maps[p]: accumulated map of the statics before pulse p
-    maps = [np.broadcast_to(np.eye(2 * setup.n_modes), statics[:, 0].shape)]
-    for p in range(driven[-1]):
-        maps.append(statics[:, p] @ maps[-1])
+    last = driven[-1]
+    statics = static_heisenberg_map(setup.ws, (wt[:, :last], o[:, :last]),
+                                    setup.tau, t_a[:last],
+                                    t_a[:last] + setup.tau)
     t1, t2, coef = pulse_segment_coefs(setup, (wt[:, driven], o[:, driven]),
                                        t_a[driven])
     v, phase = segment_generators(t1, t2, coef)
-    v = (v[..., None, :] @ np.stack(maps, axis=1)[:, driven, None])[..., 0, :]
+    for p in reversed(range(last)):
+        late = sum(q <= p for q in driven)  # first driven pulse after p
+        v[:, late:] = v[:, late:] @ statics[:, p, None]
     return [list(zip(vc.reshape(-1, v.shape[-1]), pc.ravel()))
             for vc, pc in zip(v, phase)]
 
@@ -430,14 +425,13 @@ def config_generators(setup: SequenceSetup, configs=CONFIG_S):
 # scalar (gaussian) materialization
 
 def gaussian_u_rel(gens, n_modes):
-    """Compose displacement factors into U_rel = e^{i phase} D(alpha)."""
-    alpha = np.zeros(n_modes, dtype=complex)
-    phase = 0.0
-    for v, ph in gens:
-        beta = -1j * v[n_modes:]
-        phase += -ph + float(np.sum(np.imag(beta * np.conj(alpha))))
-        alpha = alpha + beta
-    return alpha, phase
+    """Compose displacement factors into U_rel = e^{i phase} D(alpha):
+    factor j displaces by beta_j = -i v_j[a^dag rows] and adds -phase_j +
+    Im(beta_j . conj(alpha before it))."""
+    beta = -1j * np.array([v[n_modes:] for v, _ in gens]).reshape(-1, n_modes)
+    alpha = np.concatenate([np.zeros((1, n_modes)), beta]).cumsum(axis=0)
+    terms = (beta * alpha[:-1].conj()).imag.sum(axis=-1)
+    return alpha[-1], float((terms - [ph for _, ph in gens]).sum())
 
 
 def thermal_overlap(alpha_c, phase_c, alpha_cp, phase_cp, nbars):
@@ -456,8 +450,7 @@ def gaussian_wmat(setup: SequenceSetup, nbars):
     """4x4 channel matrix W[c, c'] = <U_c'^dag U_c> over the thermal state."""
     disp = [gaussian_u_rel(gens, setup.n_modes)
             for gens in config_generators(setup)]
-    alpha = np.array([a for a, _ in disp])
-    phase = np.array([ph for _, ph in disp])
+    alpha, phase = (np.array(x) for x in zip(*disp))
     w = thermal_overlap(alpha[:, None], phase[:, None], alpha[None],
                         phase[None], nbars)
     return w, disp
@@ -639,11 +632,14 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
     moments = np.zeros(t_all.shape + (2 * n,), dtype=complex)
     driven = setup.driven_pulses
     if driven:
-        t1, t2, coef = pulse_segment_coefs(setup, (wt[driven], o[driven]),
-                                           t_a[driven, 0])
+        t1, t2, (env, env_theta, beta, theta) = pulse_segment_coefs(
+            setup, (wt[driven], o[driven]), t_a[driven, 0])
         te = np.clip(t_all[driven][..., None], t1[:, None], t2[:, None])
-        moments[driven] = Coef(coef.beta[:, None], coef.theta[:, None]).m0(
-            t1[:, None], te).sum(axis=-2)
+        # exp(i theta t1) once per segment piece, exp(i theta te) per sample
+        i0 = int0(env_theta[..., None] + theta[:, None, None, None, :],
+                  t1[:, None, :, None, None], te[..., None, None])
+        moments[driven] = (beta[:, None] @ np.sum(
+            env[:, None, ..., None] * i0, axis=(-3, -2))[..., None])[..., 0]
     alpha = np.zeros(n, dtype=complex)
     s_ref = np.eye(2 * n, dtype=complex)  # statics of completed pulses
     means = [m0[:n]]

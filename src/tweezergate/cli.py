@@ -416,7 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return exc.code
     try:
         doc = load_document(args.config)
         inputs = build_inputs(doc)

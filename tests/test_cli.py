@@ -315,9 +315,7 @@ class TestSharedParser:
         assert seen == [1e-10, 1e-9]
 
     def test_parse_error_then_valid_call(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["gate", "--jobs", "two"])
-        assert exc.value.code == 2
+        assert cli.main(["gate", "--jobs", "two"]) == 2
         assert "invalid int value: 'two'" in capsys.readouterr().err
         out = tmp_path / "out"
         assert cli.main(["gate", "--config", "fig2",
@@ -325,6 +323,15 @@ class TestSharedParser:
         payload = json.loads((out / "gate_report.json").read_text())
         assert payload["report"]["fidelity"] == pytest.approx(
             0.9998231207075691, rel=1e-12)
+
+    def test_missing_config_returns_2(self, capsys):
+        assert cli.main(["gate"]) == 2
+        assert "the following arguments are required: --config" \
+            in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
 
 class TestGate:

@@ -19,6 +19,7 @@ from tweezergate import cli
 from tweezergate import crystal
 from tweezergate import drive
 from tweezergate import evolve
+from tweezergate import hilbert
 
 # ---------------------------------------------------------------------------
 # scalar reference
@@ -73,6 +74,30 @@ def double_moment_ref(ck, cl, t1, t2):
     return value, scale
 
 
+def env_pieces_ref(kind, tr, t_a, tau):
+    """One envelope segment as exp pieces; the pulse spans [t_a, t_a+tau]."""
+    if kind == "flat":
+        return [(1.0, 0.0)]
+    k = np.pi / tr
+    if kind == "up":
+        # sin^2(pi (t - t_a) / (2 tr)) = 1/2 - cos(k (t - t_a))/2
+        return [(0.5, 0.0),
+                (-0.25 * np.exp(-1j * k * t_a), k),
+                (-0.25 * np.exp(1j * k * t_a), -k)]
+    te = t_a + tau
+    return [(0.5, 0.0),
+            (-0.25 * np.exp(1j * k * te), -k),
+            (-0.25 * np.exp(-1j * k * te), k)]
+
+
+def segments_ref(t_a, tau, tr):
+    if tr <= 0:
+        return [("flat", t_a, t_a + tau)]
+    return [("up", t_a, t_a + tr),
+            ("flat", t_a + tr, t_a + tau - tr),
+            ("down", t_a + tau - tr, t_a + tau)]
+
+
 def segment_pieces_ref(setup, k_mat, t_a):
     """[(t1, t2, pieces of a_n, pieces of a_n^dag)] for the driven segments
     of one pulse, each coefficient a list of (beta, theta)."""
@@ -90,10 +115,10 @@ def segment_pieces_ref(setup, k_mat, t_a):
             pa[m] += [(0.5 * (c1 + c2), -wt[k]), (0.5 * (c1 - c2), wt[k])]
             pad[m] += [(0.5 * (c1 - c2), -wt[k]), (0.5 * (c1 + c2), wt[k])]
     out = []
-    for kind, t1, t2 in _exact.segments(t_a, setup.tau, setup.ramp_time):
+    for kind, t1, t2 in segments_ref(t_a, setup.tau, setup.ramp_time):
         if t2 <= t1:
             continue
-        env = _exact.env_pieces(kind, setup.ramp_time, t_a, setup.tau)
+        env = env_pieces_ref(kind, setup.ramp_time, t_a, setup.tau)
         base = [(be * setup.gamma, the + thh) for be, the in env
                 for thh in (setup.mu, -setup.mu)]
 
@@ -124,11 +149,21 @@ def config_generators_ref(setup, si, sj):
                     phase += np.real(-0.5j * (jkl - jlk))
                 gens.append((v if t_map is None else t_map.T @ v, phase))
         if p < len(path) - 1:
-            s_p = _exact.static_heisenberg_map(
-                setup.ws, _exact.normal_form(setup.ws, k_mat), setup.tau,
-                p * setup.tau, (p + 1) * setup.tau)
+            s_p = static_heisenberg_map_ref(setup.ws, k_mat, setup.tau,
+                                            p * setup.tau,
+                                            (p + 1) * setup.tau)
             t_map = s_p if t_map is None else s_p @ t_map
     return gens
+
+
+def full_coef(seg):
+    """The product-form segment coefficients (pulse_segment_coefs) as one
+    Coef over all pieces (e, j)."""
+    env, env_theta, beta_x, theta_x = seg
+    beta = env[..., None, :, None] * beta_x[..., None, :, None, :]
+    theta = env_theta[..., :, None] + theta_x[..., None, None, :]
+    return _exact.Coef(beta.reshape(beta.shape[:-2] + (-1,)),
+                       theta.reshape(theta.shape[:-2] + (-1,)))
 
 
 def full_j_phase(t1, t2, coef):
@@ -256,7 +291,7 @@ def test_double_moment_matches_scalar(t1, dt, pieces):
     beta = np.array([[p[1] for p in pieces], [p[2] for p in pieces]])
     coef = _exact.Coef(beta, th)
     lists = [list(zip(row, th)) for row in beta]
-    m0 = coef.m0(np.array(t1), np.array(t2))
+    m0 = beta @ _exact.int0(th, t1, t2)
     for k in range(2):
         terms = [b * int0_ref(x, t1, t2) for b, x in lists[k]]
         assert abs(m0[k] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
@@ -277,12 +312,13 @@ def test_batched_segments_match_single():
     t1 = np.array([0.0, 1e-5, 3e-5])
     t2 = np.array([1e-5, 3e-5, 3.5e-5])
     j = _exact.double_moment(_exact.Coef(beta, th), t1, t2)
-    m0 = _exact.Coef(beta, th).m0(t1, t2)
+    m0 = beta @ _exact.int0(th, t1[:, None], t2[:, None])[..., None]
     for s in range(3):
         one = _exact.Coef(beta[s], th[s])
         np.testing.assert_allclose(j[s], _exact.double_moment(
             one, t1[s], t2[s]), rtol=1e-13)
-        np.testing.assert_allclose(m0[s], one.m0(t1[s], t2[s]), rtol=1e-13)
+        np.testing.assert_allclose(m0[s, :, 0], beta[s] @ _exact.int0(
+            th[s], t1[s], t2[s]), rtol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,9 +343,10 @@ def test_block_phase_matches_full_j(n, data, ratio, detuning_khz, ramp):
                               setup.pulse_count)
         for p in setup.field_pulses:
             dressed = _exact.normal_form(setup.ws, setup.coupling(*path[p]))
-            t1, t2, coef = _exact.pulse_segment_coefs(setup, dressed,
-                                                      p * setup.tau)
-            _, phase = _exact.segment_generators(t1, t2, coef)
+            t1, t2, seg = _exact.pulse_segment_coefs(setup, dressed,
+                                                     p * setup.tau)
+            _, phase = _exact.segment_generators(t1, t2, seg)
+            coef = full_coef(seg)
             assert_rel(phase, full_j_phase(t1, t2, coef),
                        full_j_phase_scale(t1, t2, coef))
 
@@ -318,18 +355,50 @@ def test_block_phase_matches_full_j(n, data, ratio, detuning_khz, ramp):
 # engine against the scalar reference
 
 
-def test_gaussian_wmat_matches_scalar_reference_table1():
-    setup, inputs = preset_setup("table1")
-    assert setup.n_modes == 4
-    for nbars in (inputs.thermal.nbar, (0.5, 0.2, 0.1, 0.05)):
+def gaussian_u_rel_ref(gens, n_modes):
+    """Displacement product e^{i phase} D(alpha), one factor at a time."""
+    alpha = np.zeros(n_modes, dtype=complex)
+    phase = 0.0
+    for v, ph in gens:
+        beta = -1j * v[n_modes:]
+        phase += -ph + float(np.sum(np.imag(beta * np.conj(alpha))))
+        alpha = alpha + beta
+    return alpha, phase
+
+
+def assert_gaussian_wmat_matches_reference(setup, nbar_sets):
+    disp = [gaussian_u_rel_ref(config_generators_ref(setup, si, sj),
+                               setup.n_modes)
+            for si, sj in _exact.CONFIG_S]
+    for nbars in nbar_sets:
         w, _ = _exact.gaussian_wmat(setup, nbars)
-        disp = [_exact.gaussian_u_rel(config_generators_ref(setup, si, sj),
-                                      setup.n_modes)
-                for si, sj in _exact.CONFIG_S]
         w_ref = np.array([[_exact.thermal_overlap(*disp[c], *disp[cp],
                                                   nbars)
                            for cp in range(4)] for c in range(4)])
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-13)
+
+
+def test_gaussian_wmat_matches_scalar_reference_table1():
+    setup, inputs = preset_setup("table1")
+    assert setup.n_modes == 4
+    assert_gaussian_wmat_matches_reference(
+        setup, [inputs.thermal.nbar, (0.5, 0.2, 0.1, 0.05)])
+
+
+def test_gaussian_wmat_matches_scalar_reference_six_ions():
+    # the central pair of six ions with all modes retained; flat pulses
+    # keep the scalar reference's pieces (12 N per ramped segment) few
+    trap = crystal.TrapSpec(6, calibrate.YB171_MASS_KG,
+                            calibrate.DEFAULT_COM_FREQUENCY)
+    cfg = drive.GateConfig(trap=trap, pair=(2, 3), field_amplitude=2.69e-4,
+                           tweezer_frequency=2 * np.pi * 250e3,
+                           detuning=-2 * np.pi * 1e3, ramp_fraction=0.0)
+    modes = crystal.normal_modes(trap)
+    assert_gaussian_wmat_matches_reference(
+        _exact.setup_from_config(cfg, modes),
+        [hilbert.equal_temperature_ensemble(nb, modes.frequencies,
+                                            (1,) * 6).nbar
+         for nb in (0.0, 0.3)])
 
 
 def test_generators_match_scalar_reference_fig2():
@@ -405,6 +474,39 @@ def test_static_heisenberg_map_matches_loops(name):
         want = static_heisenberg_map_ref(setup.ws, k_mat, 1.3e-4, 2e-5,
                                          1.5e-4)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 16), data=st.data(), khz=st.floats(120.0, 300.0),
+       c=st.integers(0, 3),
+       times=st.lists(st.floats(0.0, 4e-3), min_size=3, max_size=3),
+       dts=st.lists(st.floats(1e-7, 1e-3), min_size=6, max_size=6))
+def test_static_heisenberg_map_matches_loops_random(n, data, khz, c, times,
+                                                    dts):
+    # the matrix-product branch sums equal the loop over m, n, once per
+    # frame and stacked over frames x offsets as config_trajectory calls it
+    setup = random_setup(n, data, khz / 1e3, -1.0, 0.016,
+                         (True, False, False, True))
+    k_mat = setup.coupling(*_exact.CONFIG_S[c])
+    dressed = _exact.normal_form(setup.ws, k_mat)
+    dt, t_a, t_b = dts[0], times[0], times[1]
+    np.testing.assert_allclose(
+        _exact.static_heisenberg_map(setup.ws, dressed, dt, t_a, t_b),
+        static_heisenberg_map_ref(setup.ws, k_mat, dt, t_a, t_b),
+        rtol=0, atol=1e-14)
+    k_mats = [setup.coupling(*_exact.CONFIG_S[k]) for k in (c, 3 - c)]
+    wt, o = _exact.normal_form(setup.ws, np.array(k_mats))
+    t_a = np.array([times[2], times[0]])[:, None]
+    offsets = np.reshape(dts, (2, 3))
+    got = _exact.static_heisenberg_map(setup.ws, (wt[:, None], o[:, None]),
+                                       offsets, t_a, t_a + offsets)
+    assert got.shape == (2, 3, 2 * n, 2 * n)
+    for p, k_mat in enumerate(k_mats):
+        for s, dt in enumerate(offsets[p]):
+            np.testing.assert_allclose(
+                got[p, s], static_heisenberg_map_ref(
+                    setup.ws, k_mat, dt, t_a[p, 0], t_a[p, 0] + dt),
+                rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3_twomode", "table1"])
