@@ -1,16 +1,18 @@
 """Parameter design and reproduction drivers.
 
 Two calibration sources set the drive field: the analytic coupling rule
-gamma = |delta| sqrt(pi)/2 and a numerical solve for a target
-conditional phase.  The two disagree at the documented operating point
-(by about a factor of five in field), so the rule emits a consistency
-warning quoting both numbers rather than silently preferring one.
+gamma = |delta| sqrt(pi)/2 and the field of a target conditional phase,
+which is closed form because that phase is exactly linear in E0^2.  The
+two disagree at the documented operating point (by about a factor of
+five in field), so the rule emits a consistency warning quoting both
+numbers rather than silently preferring one.
 
-Sweeps evaluate one fidelity report per grid point, deterministically
-and with per-point error carrying, and can cache finished points on
-disk keyed by a canonical parameter hash so interrupted runs resume.
-The four-ion study reproduces the per-pair corrected drive frequencies
-and infidelities of the full-crystal gate.
+Sweeps and the four-ion study share one point runner: one fidelity
+report per (spec, value) task, deterministically and with per-point
+error carrying, optionally in a process pool, and with finished points
+cached on disk keyed by a canonical parameter hash so interrupted runs
+resume.  The four-ion study reproduces the per-pair corrected drive
+frequencies and infidelities of the full-crystal gate.
 """
 
 import concurrent.futures
@@ -22,7 +24,6 @@ import os
 import warnings
 
 import numpy as np
-import scipy.optimize
 
 from . import crystal
 from . import drive
@@ -113,11 +114,6 @@ class PairStudy:
         return (1.0 - self.fidelity) * 1.0e4
 
 
-def _field_unit_gamma(trap: crystal.TrapSpec) -> float:
-    """Coupling rate per unit field amplitude."""
-    return drive.gamma_from_field(1.0, trap)
-
-
 def _raw_conditional_phase(field_amplitude, delta, trap, tweezer_frequency,
                            pair, n_modes) -> float:
     """Unwrapped conditional phase of the reference gate; exactly linear
@@ -138,15 +134,15 @@ def field_for_gate_condition(delta: float, trap: crystal.TrapSpec,
 
     rule "pi_over_4_coupling" applies gamma = |delta| sqrt(pi)/2 and
     warns about its inconsistency with the conditional-phase target it
-    nominally serves.  rule "target_conditional_phase" solves
-    conditional phase = phi by bracketed root finding on the reference
-    gate's closed-form phase (monotone in E0^2).
+    nominally serves.  rule "target_conditional_phase" returns the field
+    whose reference-gate conditional phase is phi: that phase is exactly
+    linear in E0^2, so one evaluation at a reference field fixes it.
     """
     if delta == 0:
         raise ValueError("delta must be nonzero")
     if rule == "pi_over_4_coupling":
         gamma = abs(delta) * math.sqrt(math.pi) / 2.0
-        e0 = gamma / _field_unit_gamma(trap)
+        e0 = gamma / drive.gamma_from_field(1.0, trap)
         msg = (f"gamma = |delta| sqrt(pi)/2 gives E0 = {e0:.4e} V/m")
         if tweezer_frequency > 0:
             phi_rule = _raw_conditional_phase(e0, delta, trap,
@@ -177,12 +173,7 @@ def field_for_gate_condition(delta: float, trap: crystal.TrapSpec,
                 f"conditional phase target {phi:.4f} rad is not bracketed: "
                 f"phase is 0 at E0 = 0 and {phi_ref:.4e} at E0 = "
                 f"{e_ref:.1e} V/m (same-sign target required)")
-        hi = e_ref * math.sqrt(phi / phi_ref) * 1.25
-        f = lambda e: _raw_conditional_phase(e, delta, trap,
-                                             tweezer_frequency, pair,
-                                             n_modes) - phi
-        return float(scipy.optimize.brentq(f, 0.0, hi, xtol=1e-18,
-                                           rtol=1e-14))
+        return e_ref * math.sqrt(phi / phi_ref)
     raise ValueError(f"unknown rule {rule!r}; choose from {FIELD_RULES}")
 
 
@@ -191,9 +182,8 @@ def corrected_drive_frequency(trap: crystal.TrapSpec, pair,
                               delta: float) -> float:
     """Drive frequency mu = (exact mixed-configuration COM branch over the
     full crystal) + delta for an addressed pair (0-based indices)."""
-    pert = crystal.TweezerPerturbation(tweezer_frequency, pair, (1, -1))
-    offset = crystal.drive_frequency_correction(trap, pert, delta)
-    return trap.axial_frequency - offset
+    return crystal.resonant_drive_frequency(
+        crystal.normal_modes(trap), tweezer_frequency, pair, delta)
 
 
 # Version of the numbers behind a cached report; part of the cache key, so
@@ -209,27 +199,15 @@ def config_hash(config: drive.GateConfig, nbar, cutoffs,
                 backend: str) -> str:
     """Canonical hash of one fidelity evaluation's full parameter set and
     the engine version."""
-    payload = {
-        "engine_version": ENGINE_VERSION,
-        "n_ions": int(config.trap.n_ions),
-        "ion_mass_kg": float(config.trap.ion_mass),
-        "axial_frequency_rad_s": float(config.trap.axial_frequency),
-        "charge_c": float(config.trap.charge),
-        "pair": [int(i) for i in config.pair],
-        "tweezer_frequency_rad_s": float(config.tweezer_frequency),
-        "field_amplitude_v_per_m": float(config.field_amplitude),
-        "detuning_rad_s": float(config.detuning),
-        "drive_frequency_rad_s": (None if config.drive_frequency is None
-                                  else float(config.drive_frequency)),
-        "pulse_count": int(config.pulse_count),
-        "field_on_mask": [bool(b) for b in config.field_on_mask],
-        "echo_schedule": [[int(q) for q in b]
-                          for b in config.echo_schedule],
-        "ramp_fraction": float(config.ramp_fraction),
-        "nbar": [float(n) for n in nbar],
-        "cutoffs": [int(c) for c in cutoffs],
-        "backend": backend,
-    }
+    mu = config.drive_frequency
+    payload = dict(
+        config.record(),
+        engine_version=ENGINE_VERSION,
+        charge_c=float(config.trap.charge),
+        drive_frequency_rad_s=None if mu is None else float(mu),
+        nbar=[float(n) for n in nbar],
+        cutoffs=[int(c) for c in cutoffs],
+        backend=backend)
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -248,17 +226,6 @@ def _point_inputs(spec: SweepSpec, value: float):
     return cfg, thermal
 
 
-def _report_from_dict(d: dict) -> metric.FidelityReport:
-    top = ("fidelity", "infidelity", "conditional_phase_rad", "g1_re",
-           "g1_im", "g2")
-    params = {k: v for k, v in d.items() if k not in top}
-    return metric.FidelityReport(
-        fidelity=d["fidelity"],
-        conditional_phase=d["conditional_phase_rad"],
-        g1=complex(d["g1_re"], d["g1_im"]), g2=d["g2"],
-        parameters=params)
-
-
 def _evaluate_point(spec: SweepSpec, value: float) -> dict:
     cfg, thermal = _point_inputs(spec, value)
     space = hilbert.SpaceSpec(2, spec.cutoffs)
@@ -274,18 +241,12 @@ def _point_worker(args):
         return idx, None, f"{type(exc).__name__}: {exc}"
 
 
-def _cache_path(cache_dir: str, spec: SweepSpec, value: float):
-    cfg, thermal = _point_inputs(spec, value)
-    key = config_hash(cfg, thermal.nbar, spec.cutoffs, spec.backend)
-    return os.path.join(cache_dir, key + ".json")
-
-
 def _read_cached(path: str):
     """Report stored at path, or None when the entry is missing or
     unreadable (a truncated or foreign file is a cache miss)."""
     try:
         with open(path) as fh:
-            return _report_from_dict(json.load(fh))
+            return metric.FidelityReport.from_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
@@ -305,43 +266,42 @@ def _write_cached(path: str, payload: dict):
         raise
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
-    """Evaluate the sweep, one SweepPoint per grid value, in grid order.
-
-    Points run independently (in a process pool when jobs > 1); a failing
-    point carries its error without aborting the rest, and so does every
-    point left without a result when a worker process dies.  With cache_dir
-    set, each point is stored as JSON keyed by its parameter hash as soon
-    as it finishes, and later runs reuse it, so interrupted sweeps resume.
-    """
+def _run_points(tasks, jobs: int, cache_dir) -> list:
+    """One SweepPoint per (spec, value) task, in task order, as run_sweep
+    describes; the pool has min(jobs, uncached points) workers."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    points: dict = {}
-    pending = []
-    for idx, value in enumerate(spec.grid):
+    points = [None] * len(tasks)
+    paths = {}  # uncached task index -> cache path, or None without a cache
+    for idx, (spec, value) in enumerate(tasks):
+        path = None
         if cache_dir is not None:
             try:
-                path = _cache_path(cache_dir, spec, value)
+                cfg, thermal = _point_inputs(spec, value)
+                key = config_hash(cfg, thermal.nbar, spec.cutoffs,
+                                  spec.backend)
             except Exception as exc:
                 points[idx] = SweepPoint(axis_value=value,
                                          error=f"{type(exc).__name__}: {exc}")
                 continue
+            path = os.path.join(cache_dir, key + ".json")
             report = _read_cached(path)
             if report is not None:
                 points[idx] = SweepPoint(axis_value=value, report=report)
                 continue
-        pending.append((idx, spec, value))
+        paths[idx] = path
 
     def finish(idx, payload, err):
-        value = spec.grid[idx]
+        value = tasks[idx][1]
         if payload is None:
             points[idx] = SweepPoint(axis_value=value, error=err)
             return
-        if cache_dir is not None:
-            _write_cached(_cache_path(cache_dir, spec, value), payload)
-        points[idx] = SweepPoint(axis_value=value,
-                                 report=_report_from_dict(payload))
+        if paths[idx] is not None:
+            _write_cached(paths[idx], payload)
+        points[idx] = SweepPoint(
+            axis_value=value, report=metric.FidelityReport.from_dict(payload))
 
+    pending = [(idx, *tasks[idx]) for idx in paths]
     if jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(jobs, len(pending))) as pool:
@@ -357,20 +317,28 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
     else:
         for args in pending:
             finish(*_point_worker(args))
-    return [points[idx] for idx in range(len(spec.grid))]
+    return points
+
+
+def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
+    """Evaluate the sweep, one SweepPoint per grid value, in grid order.
+
+    Points run independently (in a process pool when jobs > 1); a failing
+    point carries its error without aborting the rest, and so does every
+    point left without a result when a worker process dies.  With cache_dir
+    set, each point is stored as JSON keyed by its parameter hash as soon
+    as it finishes, and later runs reuse it, so interrupted sweeps resume.
+    """
+    return _run_points([(spec, value) for value in spec.grid], jobs,
+                       cache_dir)
 
 
 def threshold_crossings(points, targets):
     """First axis value at which the fidelity reaches each target and
     stays measurable: the smallest grid value with F >= target."""
-    out = {}
-    for t in targets:
-        out[t] = None
-        for p in points:
-            if p.ok and p.report.fidelity >= t:
-                out[t] = p.axis_value
-                break
-    return out
+    return {t: next((p.axis_value for p in points
+                     if p.ok and p.report.fidelity >= t), None)
+            for t in targets}
 
 
 def default_four_ion_trap() -> crystal.TrapSpec:
@@ -390,6 +358,12 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
     chain positions, qubit 0 on the first listed ion.  The ordered mirror
     (n-1-i, n-1-j) of 0-based (i, j) gives the same row; (n-1-j, n-1-i),
     which moves qubit 0 to the other ion, does not.
+
+    The pairs go through the sweeps' point runner: with jobs > 1 the
+    uncached pairs share one process pool of at most jobs workers, and
+    cache_dir caches them as in run_sweep.  A pair whose evaluation
+    raised, or whose worker process died, raises RuntimeError naming the
+    pair.
     """
     if trap is None:
         trap = default_four_ion_trap()
@@ -397,40 +371,28 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
         raise ValueError("the pair study expects a four-ion crystal")
     if len(cutoffs) != trap.n_ions:
         raise ValueError("the pair study retains all four axial modes")
-    studies = []
-    for label in PAIR_LABELS:
-        pair = (label[0] - 1, label[1] - 1)
+    specs = []
+    for i, j in PAIR_LABELS:
+        pair = (i - 1, j - 1)
         mu = corrected_drive_frequency(trap, pair, tweezer_frequency,
                                        delta_base)
         cfg = drive.GateConfig(trap=trap, pair=pair,
                                tweezer_frequency=tweezer_frequency,
                                field_amplitude=field_amplitude,
                                detuning=delta_base, drive_frequency=mu)
-        spec = SweepSpec(axis="tweezer_frequency",
-                         grid=(tweezer_frequency,), config=cfg,
-                         cutoffs=cutoffs, nbar_com=nbar_com,
-                         backend=backend)
-        studies.append((label, mu, spec))
-
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(studies))) as pool:
-            outs = list(pool.map(_study_worker,
-                                 [(s, cache_dir) for _, _, s in studies]))
-    else:
-        outs = [_study_worker((s, cache_dir)) for _, _, s in studies]
-
+        specs.append(SweepSpec(axis="tweezer_frequency",
+                               grid=(tweezer_frequency,), config=cfg,
+                               cutoffs=cutoffs, nbar_com=nbar_com,
+                               backend=backend))
+    points = _run_points([(s, s.grid[0]) for s in specs], jobs, cache_dir)
     table = []
-    for (label, mu, _), point in zip(studies, outs):
+    for label, spec, point in zip(PAIR_LABELS, specs, points):
         if not point.ok:
             raise RuntimeError(f"pair {label} failed: {point.error}")
+        mu = spec.config.drive_frequency
         table.append(PairStudy(
             pair=label, drive_frequency=mu,
             offset_hz=(trap.axial_frequency - mu) / (2.0 * math.pi),
             fidelity=point.report.fidelity, report=point.report))
     return table
 
-
-def _study_worker(args):
-    spec, cache_dir = args
-    return run_sweep(spec, jobs=1, cache_dir=cache_dir)[0]

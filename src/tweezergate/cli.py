@@ -178,14 +178,15 @@ def build_inputs(doc: dict) -> RunInputs:
         thermal = hilbert.equal_temperature_ensemble(
             nbar_com, crystal.normal_modes(trap).frequencies[:len(cutoffs)],
             cutoffs)
-        if thermal.tail_weight() > 1e-4:
+        backend = d["backend"]
+        if backend not in metric.BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        if backend in metric.TRUNCATED_BACKENDS \
+                and thermal.tail_weight() > metric.TAIL_LIMIT:
             raise ValueError(
                 f"thermal occupation nbar_com = {nbar_com} loses weight "
                 f"{thermal.tail_weight():.2e} at cutoffs {cutoffs}; "
                 f"increase mode_cutoffs")
-        backend = d["backend"]
-        if backend not in ("gaussian", "fock", "column", "ode"):
-            raise ValueError(f"unknown backend {backend!r}")
         if not 0.0 <= d["ramp_fraction"] <= 0.25:
             raise ValueError("ramp_fraction must lie in [0, 0.25]")
         if int(d["samples_per_pulse"]) < 200:
@@ -216,9 +217,8 @@ def _write_json(path, payload):
 def cmd_modes(inputs: RunInputs, out_dir: str, jobs: int,
               tol) -> list:
     modes = crystal.normal_modes(inputs.trap)
-    # equilibrium_positions is dimensionless (units of the Coulomb length)
-    scale = crystal.coulomb_length(inputs.trap)
-    positions = scale * crystal.equilibrium_positions(inputs.trap)
+    # the positions are dimensionless (units of the Coulomb length)
+    positions = crystal.coulomb_length(inputs.trap) * modes.positions
     h = inputs.config_hash()
     n = inputs.trap.n_ions
     pos_path = os.path.join(out_dir, "positions.csv")

@@ -137,17 +137,6 @@ def equilibrium_positions(trap: TrapSpec) -> np.ndarray:
     return u - np.mean(u)
 
 
-def axial_hessian(trap: TrapSpec, positions: np.ndarray) -> np.ndarray:
-    """Axial Hessian about equilibrium, SI entries (rad/s)^2.
-
-    Row sums equal w_z^2: uniform translation feels only the trap curvature.
-    """
-    u = np.asarray(positions, float)
-    if len(u) > 1 and np.min(np.abs(np.diff(np.sort(u)))) < 1e-12:
-        raise ValueError("coincident ion positions: Coulomb singularity")
-    return trap.axial_frequency ** 2 * _dimensionless_hessian(u)
-
-
 @functools.lru_cache
 def normal_modes(trap: TrapSpec) -> CrystalModes:
     """Equilibrium, mode frequencies (ascending) and orthonormal vectors;
@@ -220,17 +209,28 @@ def shifted_mode_frequencies(modes: CrystalModes, pert: TweezerPerturbation,
     raise ValueError("method must be 'perturbative' or 'exact'")
 
 
+def resonant_drive_frequency(modes: CrystalModes, tweezer_frequency: float,
+                             pair, delta: float) -> float:
+    """The drive-frequency rule, in angular rad/s: mu is the lowest exact
+    branch of the mixed spin configuration (+1, -1) of the addressed pair
+    over the modes present in `modes`, plus delta.
+
+    With only the COM mode present the mixed-configuration curvature
+    cancels and this reduces to w_com + delta; with more modes the
+    cross-mode coupling pushes the branch down by the amount the drive
+    must track.
+    """
+    mixed = TweezerPerturbation(tweezer_frequency, pair, (1, -1))
+    return shifted_mode_frequencies(modes, mixed, method="exact")[0] + delta
+
+
 def drive_frequency_correction(trap: TrapSpec, pert: TweezerPerturbation,
                                delta: float = 0.0) -> float:
-    """Offset w_com - mu of the resonant drive, in angular rad/s.
-
-    The resonant manifold is the mixed spin configuration (+1, -1); its
-    exact COM-branch frequency sets mu = w_tilde_com + delta, so the
-    returned offset is w_com - w_tilde_com - delta. With a negative delta
-    of order kHz this lands in the positive few-kHz range used to tabulate
-    four-ion drive corrections.
+    """Offset w_com - mu, in angular rad/s, of the drive that
+    resonant_drive_frequency sets over the full crystal. With a negative
+    delta of order kHz this lands in the positive few-kHz range used to
+    tabulate four-ion drive corrections.
     """
-    modes = normal_modes(trap)
-    mixed = TweezerPerturbation(pert.tweezer_frequency, pert.pair, (1, -1))
-    shifted = shifted_mode_frequencies(modes, mixed, method="exact")
-    return trap.axial_frequency - shifted[0] - delta
+    branch = resonant_drive_frequency(normal_modes(trap),
+                                      pert.tweezer_frequency, pert.pair, 0.0)
+    return trap.axial_frequency - branch - delta

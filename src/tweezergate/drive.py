@@ -89,6 +89,24 @@ class GateConfig:
     def total_time(self) -> float:
         return self.pulse_count * self.pulse_duration
 
+    def record(self) -> dict:
+        """The settings in report units (SI, JSON types), with the trap's
+        mass and frequency; callers add the configured or resolved mu."""
+        return {
+            "n_ions": int(self.trap.n_ions),
+            "ion_mass_kg": float(self.trap.ion_mass),
+            "axial_frequency_rad_s": float(self.trap.axial_frequency),
+            "pair": [int(i) for i in self.pair],
+            "tweezer_frequency_rad_s": float(self.tweezer_frequency),
+            "field_amplitude_v_per_m": float(self.field_amplitude),
+            "detuning_rad_s": float(self.detuning),
+            "pulse_count": int(self.pulse_count),
+            "field_on_mask": [bool(b) for b in self.field_on_mask],
+            "echo_schedule": [[int(q) for q in b]
+                              for b in self.echo_schedule],
+            "ramp_fraction": float(self.ramp_fraction),
+        }
+
 
 @dataclasses.dataclass(frozen=True)
 class EffectiveModel:
@@ -145,20 +163,12 @@ def ramp_envelope(t, tau, ramp_time):
 
 def resolve_drive_frequency(config: GateConfig,
                             modes: _crystal.CrystalModes) -> float:
-    """Drive frequency against a retained mode set: the exact lower branch
-    of the mixed-spin tweezer-shifted spectrum plus the detuning.
-
-    With only the COM mode retained the mixed-configuration curvature
-    cancels and this reduces to w_com + detuning; with more modes retained
-    the cross-mode coupling pushes the branch down by the amount the drive
-    must track. An explicitly set config.drive_frequency wins.
-    """
+    """Drive frequency against a retained mode set: an explicitly set
+    config.drive_frequency, else crystal.resonant_drive_frequency."""
     if config.drive_frequency is not None:
         return config.drive_frequency
-    pert = _crystal.TweezerPerturbation(
-        config.tweezer_frequency, config.pair, (1, -1))
-    shifted = _crystal.shifted_mode_frequencies(modes, pert, method="exact")
-    return shifted[0] + config.detuning
+    return _crystal.resonant_drive_frequency(
+        modes, config.tweezer_frequency, config.pair, config.detuning)
 
 
 def pair_com_shifts(trap: _crystal.TrapSpec, tweezer_frequency: float):

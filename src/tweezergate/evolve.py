@@ -237,29 +237,6 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
     return np.hstack(out) if out else np.zeros((n, 0), dtype=complex)
 
 
-def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):
-    """Integrate i d|psi>/dt = H(t)|psi> from t0 to t1 with DOP853.
-
-    hamiltonian: callable t -> operator (sparse or dense array) acting on
-    state vectors. t1 < t0 integrates backwards. Raises RuntimeError
-    carrying the failure time if the step size underflows.
-    """
-    return _integrate(lambda t: -1j * hamiltonian(t), state, t0, t1, tol,
-                      max_step)[:, -1]
-
-
-def propagator(hamiltonian, space, t0, t1, tol=1e-9, max_step=None):
-    """Propagator matrix on a SpaceSpec (or explicit dimension).
-
-    Columns are propagate() applied to the basis states, integrated as one
-    matrix-valued ODE so all columns share the adaptive time grid.
-    """
-    dim = space.dim if isinstance(space, hilbert.SpaceSpec) else int(space)
-    u = _integrate(lambda t: -1j * hamiltonian(t), np.eye(dim), t0, t1, tol,
-                   max_step)
-    return u[:, -1].reshape(dim, dim)
-
-
 @dataclasses.dataclass
 class Trajectory:
     """Sampled COM-mode mean <a_com>(t) for one initial qubit state."""

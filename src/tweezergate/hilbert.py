@@ -114,17 +114,6 @@ class ThermalEnsemble:
         return 1.0 - kept
 
 
-def ladder_operators(cutoff: int):
-    """(lowering, raising) on a Fock space truncated at occupation cutoff.
-
-    Matrices have dimension cutoff + 1 and <n-1|a|n> = sqrt(n).
-    """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    a = sp.diags(np.sqrt(np.arange(1, cutoff + 1)), 1, format="csr")
-    return a, a.conj().T.tocsr()
-
-
 def thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
     """Geometric occupation probabilities renormalized over 0..cutoff."""
     if nbar < 0:
@@ -198,22 +187,3 @@ def embed(op, target, space: SpaceSpec) -> sp.csr_matrix:
         raise ValueError("target kind must be 'qubit' or 'mode'")
     return _kron_all(mats)
 
-
-def mode_number_diagonals(space: SpaceSpec) -> list:
-    """Occupation of each mode along the composite diagonal."""
-    idx = np.arange(space.dim)
-    out = []
-    im = idx % space.mode_dim
-    for m, d in enumerate(space.mode_dims):
-        stride = int(np.prod(space.mode_dims[m + 1:])) if m + 1 < space.n_modes else 1
-        out.append(((im // stride) % d).astype(float))
-    return out
-
-
-def qubit_basis_state(space: SpaceSpec, qubits: str, occupations=None) -> np.ndarray:
-    """Unit vector |qubits> (x) |occupations> (occupations default to vacuum)."""
-    if occupations is None:
-        occupations = (0,) * space.n_modes
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.basis_index(qubits, occupations)] = 1.0
-    return psi

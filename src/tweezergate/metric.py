@@ -6,9 +6,7 @@ out after the sequence.  A channel is represented by the images of the
 first factor = first qubit of the pair), one read-only 16 x 4 x 4 stack.
 For the qubit-diagonal evolution of this gate the stack is the Pauli
 stack times a single 4x4 overlap matrix W[c, c'] = <U_c'^dag U_c>_thermal
-elementwise, which the backends in _exact compute;
-channel_from_propagator instead takes the literal partial trace of an
-arbitrary composite-space propagator and is used for cross checks.
+elementwise, which the backends in _exact compute.
 
 Average process fidelity follows the standard two-qubit formula
 F = (sum_l tr[U sigma_l^dag U^dag E(sigma_l)] + d^2) / (d^2 (d + 1))
@@ -29,24 +27,16 @@ from . import drive
 from . import evolve
 from . import hilbert
 
-_PAULI_ORDER = ("1", "x", "y", "z")
 _SIGMA_1 = (np.eye(2, dtype=complex), hilbert.SIGMA_X, hilbert.SIGMA_Y,
             hilbert.SIGMA_Z)
 _PAULI_STACK = np.array([np.kron(a, b) for a in _SIGMA_1 for b in _SIGMA_1])
 _PAULI_STACK.flags.writeable = False
 
-_BACKENDS = ("gaussian", "fock", "column", "ode")
-_TAIL_LIMIT = 1e-4
-
-
-def paulis16():
-    """The 16 two-qubit Pauli operators in lexicographic order (shared,
-    read-only), with hilbert's sigma_z convention."""
-    return _PAULI_STACK
-
-
-def pauli_labels():
-    return tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
+BACKENDS = ("gaussian", "fock", "column", "ode")
+# backends that sum over the truncated Fock states, and the thermal weight
+# they may lose beyond the cutoffs
+TRUNCATED_BACKENDS = ("fock", "column", "ode")
+TAIL_LIMIT = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,6 +145,16 @@ class FidelityReport:
         out.update(self.parameters)
         return out
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "FidelityReport":
+        """Inverse of as_dict."""
+        p = dict(d)
+        p.pop("infidelity", None)
+        return cls(fidelity=p.pop("fidelity"),
+                   conditional_phase=p.pop("conditional_phase_rad"),
+                   g1=complex(p.pop("g1_re"), p.pop("g1_im")),
+                   g2=p.pop("g2"), parameters=p)
+
     def to_json(self, path=None) -> str:
         text = json.dumps(self.as_dict(), indent=2, sort_keys=True)
         if path is not None:
@@ -171,14 +171,6 @@ def _wrap_angle(phi: float) -> float:
     return out - math.pi
 
 
-def _check_tail(thermal: hilbert.ThermalEnsemble):
-    tail = thermal.tail_weight()
-    if tail > _TAIL_LIMIT:
-        raise ValueError(
-            f"thermal ensemble loses weight {tail:.3e} to truncation "
-            f"(limit {_TAIL_LIMIT:.0e}); increase the mode cutoffs")
-
-
 def _channel_setup(config: drive.GateConfig, thermal: hilbert.ThermalEnsemble,
                    space: hilbert.SpaceSpec, backend, max_step):
     if max_step is not None and backend != "ode":
@@ -187,7 +179,11 @@ def _channel_setup(config: drive.GateConfig, thermal: hilbert.ThermalEnsemble,
         raise ValueError("channel reconstruction needs a two-qubit space")
     if tuple(thermal.cutoffs) != space.mode_cutoffs:
         raise ValueError("thermal ensemble cutoffs must match the space")
-    _check_tail(thermal)
+    tail = thermal.tail_weight()
+    if backend in TRUNCATED_BACKENDS and tail > TAIL_LIMIT:
+        raise ValueError(
+            f"thermal ensemble loses weight {tail:.3e} to truncation "
+            f"(limit {TAIL_LIMIT:.0e}); increase the mode cutoffs")
     modes = evolve.retained_modes(config, space)
     return _exact.setup_from_config(config, modes)
 
@@ -206,9 +202,12 @@ def reconstruct_channel(config: drive.GateConfig,
     (_exact.column_wmat); "ode" integrates the driven pulses numerically;
     "gaussian" evaluates the closed displacement form (its thermal average
     is over the untruncated ensemble, so it differs from the Fock-space
-    backends at the size of the truncated tail). tol (DOP853's per-step
-    relative tolerance, atol 1e-12; not a bound on W) and max_step are
-    the "ode" integrator's; max_step with another backend raises.
+    backends at the size of the truncated tail). The truncated backends
+    raise when the thermal weight beyond the cutoffs exceeds TAIL_LIMIT;
+    no cutoff enters "gaussian", so it has no such limit. tol (DOP853's
+    per-step relative tolerance, atol 1e-12; not a bound on W) and
+    max_step are the "ode" integrator's; max_step with another backend
+    raises.
     """
     setup = _channel_setup(config, thermal, space, backend, max_step)
     return _channel(setup, config, thermal, space, backend, tol, max_step)
@@ -226,40 +225,10 @@ def _channel(setup, config, thermal, space, backend, tol, max_step):
                                rtol=tol, max_step=max_step)
     else:
         raise ValueError(f"unknown backend {backend!r}; "
-                         f"choose from {_BACKENDS}")
+                         f"choose from {BACKENDS}")
     return QuantumChannel(images=_PAULI_STACK * w, overlaps=w,
                           nbar=thermal.nbar, cutoffs=space.mode_cutoffs,
                           config=config, backend=backend)
-
-
-def channel_from_propagator(u: np.ndarray, config: drive.GateConfig,
-                            thermal: hilbert.ThermalEnsemble,
-                            space: hilbert.SpaceSpec) -> QuantumChannel:
-    """Channel by literal partial trace of a composite-space propagator:
-    E(sigma_l) = sum_n p_n tr_mot(U [sigma_l kron |n><n|] U^dag).
-
-    Independent of any structure in U; the reconstruction backends must
-    reproduce it whenever U is the gate propagator.
-    """
-    if space.n_qubits != 2:
-        raise ValueError("channel reconstruction needs a two-qubit space")
-    if tuple(thermal.cutoffs) != space.mode_cutoffs:
-        raise ValueError("thermal ensemble cutoffs must match the space")
-    _check_tail(thermal)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (space.dim, space.dim):
-        raise ValueError("propagator does not match the space dimension")
-    p = thermal.weights()
-    v = u.reshape(4, space.mode_dim, 4, space.mode_dim)
-    # T[c, q, c', q'] = sum_n p_n tr_mot(U(|c><c'| kron |n><n|)U^dag)[q, q']
-    t = np.einsum("qmcf,rmdf,f->cqdr", v, np.conj(v), p, optimize=True)
-    images = np.einsum("lcd,cqdr->lqr", _PAULI_STACK, t)
-    # restriction of T to qubit-diagonal blocks; equals W when U is
-    # qubit-diagonal
-    w = np.array([[t[c, c, cp, cp] for cp in range(4)] for c in range(4)])
-    return QuantumChannel(images=images, overlaps=w, nbar=thermal.nbar,
-                          cutoffs=space.mode_cutoffs, config=config,
-                          backend="propagator")
 
 
 def ideal_gate(config: drive.GateConfig, modes) -> IdealGate:
@@ -369,28 +338,16 @@ def process_fidelity(channel: QuantumChannel, ideal) -> float:
 
 def _parameter_snapshot(config: drive.GateConfig, setup, nbar, cutoffs,
                         backend: str) -> dict:
-    trap = config.trap
-    return {
-        "n_ions": int(trap.n_ions),
-        "ion_mass_kg": float(trap.ion_mass),
-        "axial_frequency_rad_s": float(trap.axial_frequency),
-        "pair": [int(i) for i in config.pair],
-        "tweezer_frequency_rad_s": float(config.tweezer_frequency),
-        "tweezer_ratio": float(config.tweezer_frequency
-                               / trap.axial_frequency),
-        "field_amplitude_v_per_m": float(config.field_amplitude),
-        "detuning_rad_s": float(config.detuning),
-        "drive_frequency_rad_s": float(setup.mu),
-        "gamma_rad_s": float(setup.gamma),
-        "pulse_duration_s": float(config.pulse_duration),
-        "ramp_fraction": float(config.ramp_fraction),
-        "pulse_count": int(config.pulse_count),
-        "field_on_mask": [bool(b) for b in config.field_on_mask],
-        "echo_schedule": [[int(q) for q in b] for b in config.echo_schedule],
-        "nbar": [float(n) for n in nbar],
-        "mode_cutoffs": [int(c) for c in cutoffs],
-        "backend": backend,
-    }
+    return dict(
+        config.record(),
+        tweezer_ratio=float(config.tweezer_frequency
+                            / config.trap.axial_frequency),
+        drive_frequency_rad_s=float(setup.mu),
+        gamma_rad_s=float(setup.gamma),
+        pulse_duration_s=float(config.pulse_duration),
+        nbar=[float(n) for n in nbar],
+        mode_cutoffs=[int(c) for c in cutoffs],
+        backend=backend)
 
 
 def fidelity_report(config: drive.GateConfig,

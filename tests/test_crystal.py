@@ -9,12 +9,12 @@ import pytest
 import scipy.constants as const
 import scipy.optimize
 
+from oracles import axial_hessian
 from tweezergate import crystal
 from tweezergate.crystal import (
     CrystalModes,
     TrapSpec,
     TweezerPerturbation,
-    axial_hessian,
     coulomb_length,
     drive_frequency_correction,
     equilibrium_positions,

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import ladder_operators, mode_number_diagonals, qubit_basis_state
 from tweezergate import hilbert
 from tweezergate.hilbert import (
     SpaceSpec,
     ThermalEnsemble,
     embed,
     equal_temperature_ensemble,
-    ladder_operators,
     matched_temperature_nbar,
-    qubit_basis_state,
     thermal_weights,
 )
 
@@ -241,7 +240,7 @@ class TestBasisStates:
 
     def test_number_diagonals(self):
         space = SpaceSpec(1, (2, 1))
-        diags = hilbert.mode_number_diagonals(space)
+        diags = mode_number_diagonals(space)
         a0, ad0 = ladder_operators(2)
         n0 = embed(ad0 @ a0, ("mode", 0), space).diagonal().real
         np.testing.assert_allclose(diags[0], n0)

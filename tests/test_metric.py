@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
+import oracles
 from tweezergate import _exact
 from tweezergate import cli
 from tweezergate import crystal
@@ -43,7 +44,7 @@ def random_unitary(dim, seed):
 
 def unitary_channel(u, cfg):
     """Channel sigma -> U sigma U^dag on the qubits alone."""
-    images = tuple(u @ sig @ u.conj().T for sig in metric.paulis16())
+    images = tuple(u @ sig @ u.conj().T for sig in oracles.paulis16())
     d = np.diag(u) if np.allclose(u, np.diag(np.diag(u))) else np.ones(4)
     return metric.QuantumChannel(images=images,
                                  overlaps=np.outer(d, np.conj(d)),
@@ -99,7 +100,7 @@ def fig_channel(fig_point):
 
 class TestPauliBasis:
     def test_orthonormal(self):
-        sig = metric.paulis16()
+        sig = oracles.paulis16()
         assert len(sig) == 16
         for i, a in enumerate(sig):
             np.testing.assert_allclose(a, a.conj().T, atol=1e-15)
@@ -109,8 +110,8 @@ class TestPauliBasis:
                                            abs=1e-12)
 
     def test_ordering(self):
-        sig = metric.paulis16()
-        labels = metric.pauli_labels()
+        sig = oracles.paulis16()
+        labels = oracles.pauli_labels()
         assert labels[0] == "11" and labels[1] == "1x"
         assert labels[4] == "x1" and labels[15] == "zz"
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -292,7 +293,7 @@ class TestProcessFidelity:
     def explicit_sum(channel, u):
         """F from the 16 trace terms one by one."""
         tot = sum(np.trace(u @ sig.conj().T @ u.conj().T @ img)
-                  for sig, img in zip(metric.paulis16(), channel.images))
+                  for sig, img in zip(oracles.paulis16(), channel.images))
         return (tot.real + 16.0) / 80.0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -311,7 +312,7 @@ class TestProcessFidelity:
         cfg = config()
         space = hilbert.SpaceSpec(2, (4,))
         th = hilbert.ThermalEnsemble((0.05,), (4,))
-        ch = metric.channel_from_propagator(
+        ch = oracles.channel_from_propagator(
             random_unitary(space.dim, 30 + seed), cfg, th, space)
         for v in (random_unitary(4, 40 + seed), np.eye(4)):
             assert abs(metric.process_fidelity(ch, v)
@@ -355,7 +356,7 @@ class TestQuantumChannel:
     def test_rejects_transpose_map(self):
         # trace preserving but not completely positive
         cfg = config()
-        images = tuple(sig.T.copy() for sig in metric.paulis16())
+        images = tuple(sig.T.copy() for sig in oracles.paulis16())
         with pytest.raises(ValueError, match="completely positive"):
             metric.QuantumChannel(images=images, overlaps=np.eye(4),
                                   nbar=(0.0,), cutoffs=(1,), config=cfg,
@@ -372,7 +373,7 @@ class TestQuantumChannel:
 class TestReconstructChannel:
     def test_images_are_pauli_times_overlaps(self, fig_channel):
         w = fig_channel.overlaps
-        for sig, img in zip(metric.paulis16(), fig_channel.images):
+        for sig, img in zip(oracles.paulis16(), fig_channel.images):
             np.testing.assert_allclose(img, sig * w, atol=1e-15)
 
     def test_overlap_diagonal_is_unity(self, fig_channel):
@@ -483,6 +484,25 @@ class TestReconstructChannel:
         th = hilbert.ThermalEnsemble((1.0,), (3,))
         with pytest.raises(ValueError, match="increase the mode cutoffs"):
             metric.reconstruct_channel(cfg, th, space)
+
+    def test_gaussian_ignores_cutoffs(self, fig_point):
+        # the untruncated gaussian average reads no cutoff, so a tail that
+        # the Fock-space backends reject changes nothing in its report
+        cfg, _ = fig_point
+        w = crystal.normal_modes(cfg.trap).frequencies[:1]
+
+        def report(cutoff, backend):
+            th = hilbert.equal_temperature_ensemble(3.0, w, (cutoff,))
+            return metric.fidelity_report(cfg, th,
+                                          hilbert.SpaceSpec(2, (cutoff,)),
+                                          backend=backend)
+
+        short, full = report(8, "gaussian"), report(200, "gaussian")
+        assert (short.fidelity, short.conditional_phase, short.g1,
+                short.g2) == (full.fidelity, full.conditional_phase,
+                              full.g1, full.g2)
+        with pytest.raises(ValueError, match="loses weight 7.508e-02"):
+            report(8, "fock")
 
     def test_input_validation(self, fig_point):
         cfg, space = fig_point
@@ -720,9 +740,9 @@ class TestChannelFromPropagator:
         cfg = config()
         space = hilbert.SpaceSpec(2, (5,))
         th = hilbert.ThermalEnsemble((0.2,), (5,))
-        ch = metric.channel_from_propagator(np.eye(space.dim), cfg, th,
+        ch = oracles.channel_from_propagator(np.eye(space.dim), cfg, th,
                                             space)
-        for sig, img in zip(metric.paulis16(), ch.images):
+        for sig, img in zip(oracles.paulis16(), ch.images):
             np.testing.assert_allclose(img, sig, atol=1e-12)
 
     def test_product_evolution_ignores_motion(self):
@@ -732,8 +752,8 @@ class TestChannelFromPropagator:
         th = hilbert.ThermalEnsemble((0.2,), (5,))
         v = random_unitary(4, 21)
         w = random_unitary(space.mode_dim, 22)
-        ch = metric.channel_from_propagator(np.kron(v, w), cfg, th, space)
-        for sig, img in zip(metric.paulis16(), ch.images):
+        ch = oracles.channel_from_propagator(np.kron(v, w), cfg, th, space)
+        for sig, img in zip(oracles.paulis16(), ch.images):
             np.testing.assert_allclose(img, v @ sig @ v.conj().T,
                                        atol=1e-12)
 
@@ -750,7 +770,7 @@ class TestChannelFromPropagator:
         for c, gens in enumerate(_exact.config_generators(setup)):
             blk = slice(c * space.mode_dim, (c + 1) * space.mode_dim)
             u[blk, blk] = _exact.dense_u_rel(gens, space.mode_dims)
-        ch_lit = metric.channel_from_propagator(u, cfg, th, space)
+        ch_lit = oracles.channel_from_propagator(u, cfg, th, space)
         ch_rec = metric.reconstruct_channel(cfg, th, space, backend="fock")
         np.testing.assert_allclose(ch_lit.overlaps, ch_rec.overlaps,
                                    atol=1e-10)
@@ -762,7 +782,7 @@ class TestChannelFromPropagator:
         space = hilbert.SpaceSpec(2, (4,))
         th = hilbert.ThermalEnsemble((0.0,), (4,))
         with pytest.raises(ValueError, match="dimension"):
-            metric.channel_from_propagator(np.eye(7), cfg, th, space)
+            oracles.channel_from_propagator(np.eye(7), cfg, th, space)
 
 
 class TestFidelityReport:
