@@ -2,7 +2,7 @@
 
 While the qubit labels are fixed (i.e. within one pulse), the Hamiltonian
 splits into a static quadratic part H0 (bare phonons plus the
-spin-conditioned tweezer curvature) and a linear drive. In the dressed
+spin-conditioned tweezer curvature) and a COM-mode drive. In the dressed
 frame of H0 the drive stays linear in the ladder operators with
 coefficients that are finite sums of complex exponentials, so the Magnus
 series terminates at second order: every envelope segment contributes one
@@ -42,8 +42,12 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from . import crystal, drive
+
 # qubit configurations in basis order |00>, |01>, |10>, |11>; s = +1 for |1>
 CONFIG_S = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+# the ODE step cap: at least this many steps per drive period 2 pi / mu
+STEPS_PER_DRIVE_PERIOD = 20
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +110,16 @@ def _int_j(tha, thb, t1, t2, e1b, i0a, i0ab):
     return out
 
 
-class Coef:
-    """Coefficient functions c_k(t) = sum_p beta[k, p] exp(i theta[p] t).
-
-    All coefficients k of one entry share the piece frequencies theta;
-    leading axes of beta and theta batch independent entries (envelope
-    segments).
-    """
-
-    __slots__ = ("beta", "theta")
-
-    def __init__(self, beta, theta):
-        self.beta = np.asarray(beta, complex)
-        self.theta = np.asarray(theta, float)
-
-
-def double_moment(coef, t1, t2):
-    """J[..., k, l] = int int_{s' < s} c_k(s) c_l(s') ds' ds over [t1, t2],
-    for every pair of coefficients of each batch entry."""
-    th = coef.theta
+def double_moment(beta, theta, t1, t2):
+    """J[..., k, l] = int int_{s' < s} c_k(s) c_l(s') ds' ds over [t1, t2]
+    for every pair of the coefficients c_k(t) = sum_p beta[..., k, p]
+    exp(i theta[..., p] t); leading axes of beta and theta batch
+    independent entries (envelope segments)."""
+    beta, th = np.asarray(beta, complex), np.asarray(theta, float)
     t1 = np.asarray(t1)[..., None, None]
     t2 = np.asarray(t2)[..., None, None]
     ij = int_j(th[..., :, None], th[..., None, :], t1, t2)
-    return coef.beta @ ij @ np.swapaxes(coef.beta, -1, -2)
+    return beta @ ij @ np.swapaxes(beta, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +165,10 @@ def normal_form(ws, k_mat):
     return np.sqrt(lam), o
 
 
-def xcom_pieces(ws, wt, o, bcom):
+def xcom_pieces(ws, wt, o):
     """Exp-piece decomposition of the driven coordinate in the dressed frame.
 
-    The Heisenberg evolution of x_drive(s) = sum_m bcom[m] x_m(s) under the
+    The Heisenberg evolution of the driven COM coordinate x_0(s) under the
     static quadratic part mixes position and momentum of every bare mode;
     projecting back gives the coefficient pieces of a_1..a_N and
     a^dag_1..a^dag_N in the elapsed time s: (beta, theta) with beta[2N, 2N]
@@ -185,8 +176,8 @@ def xcom_pieces(ws, wt, o, bcom):
     wt_N-1), stacked over the leading axes of the dressed frame (wt, o).
     """
     sw = np.sqrt(np.asarray(ws, float))
-    proj = np.asarray(bcom, float) * sw  # drive weight in y = x sqrt(w)
-    cmo = (proj @ o)[..., None, :] * o  # cmo[n, k] = (proj . o_k) o[n, k]
+    # cmo[n, k] = sqrt(w_0) o[0, k] o[n, k], the drive weight in y = x sqrt(w)
+    cmo = (sw[0] * o[..., 0, :])[..., None, :] * o
     c1 = cmo / sw[:, None]
     c2 = cmo * sw[:, None] / wt[..., None, :]
     plus, minus = 0.5 * (c1 + c2), 0.5 * (c1 - c2)
@@ -237,24 +228,24 @@ def static_heisenberg_map(ws, dressed, dt, t_a, t_b):
 
 @dataclasses.dataclass(frozen=True)
 class SequenceSetup:
-    """Everything the engine needs for one gate run on a retained mode set.
+    """Everything the engine (frames, evolve.hamiltonian_terms) needs for
+    one gate run on a retained mode set.
 
-    coupling(si, sj) returns the mode-basis curvature matrix for one spin
-    configuration of the addressed pair; bcom the drive weights on the bare
-    modes (COM normal coordinate by convention); ramp_time in seconds.
-    frames is solved on first use and cached for the life of the setup.
+    couplings[c], read-only, is the mode-basis tweezer curvature of spin
+    configuration CONFIG_S[c] of the addressed pair; the field drives the
+    COM mode, mode 0; ramp_time in seconds. frames is solved on first use
+    and cached for the life of the setup.
     """
 
     ws: tuple
-    coupling: object
-    bcom: tuple
+    couplings: np.ndarray
     tau: float
     ramp_time: float
     mu: float
     gamma: float
-    pulse_count: int = 4
-    field_pulses: tuple = (0, 3)
-    echo_schedule: tuple = ((0, 1), (0,), (1,))
+    pulse_count: int
+    field_pulses: tuple
+    echo_schedule: tuple
 
     @property
     def n_modes(self) -> int:
@@ -268,64 +259,54 @@ class SequenceSetup:
 
     @functools.cached_property
     def frames(self):
-        """normal_form(ws, K) of the CONFIG_S configurations; read-only."""
-        wt, o = normal_form(self.ws, np.array([self.coupling(*cfg)
-                                               for cfg in CONFIG_S]))
+        """normal_form(ws, couplings) of the CONFIG_S configurations;
+        read-only."""
+        wt, o = normal_form(self.ws, self.couplings)
         wt.flags.writeable = o.flags.writeable = False
         return wt, o
 
 
 def setup_from_config(config, modes) -> SequenceSetup:
     """Build a SequenceSetup from a GateConfig and a retained mode set."""
-    from . import crystal as _crystal
-    from . import drive as _drive
-
-    ws = tuple(float(w) for w in modes.frequencies)
-    w_tw = config.tweezer_frequency
-
-    def coupling(si, sj):
-        if w_tw == 0.0:
-            return np.zeros((len(ws), len(ws)))
-        pert = _crystal.TweezerPerturbation(w_tw, config.pair, (si, sj))
-        return _crystal.mode_coupling_matrix(modes, pert)
-
     # drive couples the COM normal coordinate; require mode 0 to be COM-like
     b0 = modes.vectors[0, :]
     if np.abs(np.abs(b0) - np.abs(b0[0])).max() > 1e-9:
         raise ValueError("retained mode 0 must be the COM mode")
-    bcom = tuple(1.0 if m == 0 else 0.0 for m in range(len(ws)))
-    mu = _drive.resolve_drive_frequency(config, modes)
-    gamma = _drive.gamma_from_field(config.field_amplitude, config.trap)
+    couplings = np.array([crystal.mode_coupling_matrix(
+        modes, crystal.TweezerPerturbation(config.tweezer_frequency,
+                                           config.pair, s))
+        for s in CONFIG_S])
+    couplings.flags.writeable = False
     field_pulses = tuple(p for p, on in enumerate(config.field_on_mask) if on)
     return SequenceSetup(
-        ws=ws, coupling=coupling, bcom=bcom,
+        ws=tuple(float(w) for w in modes.frequencies), couplings=couplings,
         tau=config.pulse_duration,
         ramp_time=config.ramp_fraction * config.pulse_duration,
-        mu=mu, gamma=gamma, pulse_count=config.pulse_count,
-        field_pulses=field_pulses, echo_schedule=config.echo_schedule)
+        mu=drive.resolve_drive_frequency(config, modes),
+        gamma=drive.gamma_from_field(config.field_amplitude, config.trap),
+        pulse_count=config.pulse_count, field_pulses=field_pulses,
+        echo_schedule=config.echo_schedule)
 
 
-def path_of(si, sj, echo_schedule, pulse_count):
+def path_of(si, sj, echo_schedule):
     """Spin configuration seen by the tweezer during each pulse, given the
-    boundary pi-pulse schedule."""
+    boundary pi-pulse schedule (one entry per interior boundary)."""
     s = [si, sj]
     path = [tuple(s)]
     for boundary in echo_schedule:
         for q in boundary:
             s[q] = -s[q]
         path.append(tuple(s))
-    while len(path) < pulse_count:
-        path.append(tuple(s))
-    return path[:pulse_count]
+    return path
 
 
 def path_frames(setup: SequenceSetup, configs):
     """Dressed frames (wt, o) per (configuration, pulse) along the spin
     paths of configs, indexed from setup.frames."""
     wt, o = setup.frames
-    frame = [[CONFIG_S.index(cfg) for cfg in path_of(
-        si, sj, setup.echo_schedule, setup.pulse_count)]
-        for si, sj in configs]
+    frame = [[CONFIG_S.index(cfg)
+              for cfg in path_of(si, sj, setup.echo_schedule)]
+             for si, sj in configs]
     return wt[frame], o[frame]
 
 
@@ -342,7 +323,7 @@ def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
     as constant phases exp(-i theta t_a).
     """
     wt, o = dressed
-    beta_x, theta_x = xcom_pieces(setup.ws, wt, o, setup.bcom)
+    beta_x, theta_x = xcom_pieces(setup.ws, wt, o)
     t_a = np.asarray(t_a, float)
     # ramps of at most tau / 4 leave every segment of positive length
     t1, t2, beta_e, theta_e = envelope_pieces(t_a, setup.tau,
@@ -679,28 +660,26 @@ def field_free_evolution(setup: SequenceSetup, dims, h, t_a, cols,
     return np.exp(1j * e_bare * (t_a + s))[..., None] * states
 
 
-def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, max_step,
-                atol=None):
+def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, atol=None):
     """Carry mode-space columns through the pulse sequence, sampled at
     the offsets inside every pulse (increasing, the last equal to tau).
 
     cols (4, dim, k): block c starts in configuration CONFIG_S[c] and
     follows its spin path, so the pi-pulses relabel the blocks but never
     move them. Driven pulses are integrated (evolve._integrate on the
-    compiled Hamiltonian, at least 20 steps per drive period, max_step
-    lowering the step further); field-free pulses are exact closed-form
-    exponentials of the compiled static Hamiltonian
-    (field_free_evolution). Returns (pulse_count, len(offsets), 4, dim, k).
+    compiled Hamiltonian, STEPS_PER_DRIVE_PERIOD steps per drive period at
+    least, per-step rtol tol, default evolve._TOL_DEFAULT); field-free
+    pulses are exact closed-form exponentials of the compiled static
+    Hamiltonian (field_free_evolution). Returns (pulse_count, len(offsets),
+    4, dim, k).
     """
     from . import evolve as _evolve
 
+    tol = _evolve._TOL_DEFAULT if tol is None else tol
     _evolve._check_tol(tol)  # also where no pulse is driven
     h = _evolve.hamiltonian_terms(setup, dims)
-    paths = [path_of(si, sj, setup.echo_schedule, setup.pulse_count)
-             for si, sj in CONFIG_S]
-    step = (2.0 * math.pi / setup.mu) / 20.0
-    if max_step is not None:
-        step = min(max_step, step)
+    paths = [path_of(si, sj, setup.echo_schedule) for si, sj in CONFIG_S]
+    step = (2.0 * math.pi / setup.mu) / STEPS_PER_DRIVE_PERIOD
     cols = np.asarray(cols, dtype=complex)
     states = []
     for pulse in range(setup.pulse_count):
@@ -722,20 +701,20 @@ def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, max_step,
     return np.array(states)
 
 
-def ode_wmat(setup: SequenceSetup, dims, weights, rtol=1e-9, max_step=None):
+def ode_wmat(setup: SequenceSetup, dims, weights, tol=None):
     """Channel matrix with the driven pulses integrated directly.
 
     walk_pulses carries the Fock columns of nonzero thermal weight of all
-    four configurations; the field-free reference is the same walk with
-    the field off, exact closed-form exponentials only. Returns (W, us)
-    with us[c] the columns of the reference-relative propagator at those
-    Fock states.
+    four configurations, at per-step rtol tol and atol 1e-12; the
+    field-free reference is the same walk with the field off, exact
+    closed-form exponentials only. Returns (W, us) with us[c] the columns
+    of the reference-relative propagator at those Fock states.
     """
     idx, p = _weighted_columns(dims, weights)
     eye = np.eye(int(np.prod(dims)), dtype=complex)
-    u_full = walk_pulses(setup, dims, [eye[:, idx]] * 4, (setup.tau,), rtol,
-                         max_step, atol=1e-12)[-1, -1]
+    u_full = walk_pulses(setup, dims, [eye[:, idx]] * 4, (setup.tau,), tol,
+                         atol=1e-12)[-1, -1]
     u_ref = walk_pulses(dataclasses.replace(setup, gamma=0.0), dims,
-                        [eye] * 4, (setup.tau,), rtol, max_step)[-1, -1]
+                        [eye] * 4, (setup.tau,), tol)[-1, -1]
     us = np.conj(np.swapaxes(u_ref, 1, 2)) @ u_full
     return _thermal_wmat(us, p), list(us)

@@ -148,11 +148,8 @@ def field_for_gate_condition(delta: float, trap: crystal.TrapSpec,
             phi_rule = _raw_conditional_phase(e0, delta, trap,
                                               tweezer_frequency, pair,
                                               n_modes)
-            e0_phase = field_for_gate_condition(
-                delta, trap, "target_conditional_phase",
-                phi=math.copysign(math.pi / 4.0, phi_rule),
-                tweezer_frequency=tweezer_frequency, pair=pair,
-                n_modes=n_modes)
+            # the phase is exactly proportional to E0^2
+            e0_phase = e0 * math.sqrt(math.pi / 4.0 / abs(phi_rule))
             msg += (f", which drives the conditional phase to "
                     f"{phi_rule:.3f} rad; a pi/4 conditional phase at "
                     f"these parameters needs E0 = {e0_phase:.4e} V/m "

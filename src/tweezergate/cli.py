@@ -248,8 +248,7 @@ def cmd_phasespace(inputs: RunInputs, out_dir: str, jobs: int,
             _, traj = evolve.run_gate(
                 cfg, label, occupations, inputs.space,
                 backend=inputs.backend,
-                samples_per_pulse=d["samples_per_pulse"],
-                tol=1e-9 if tol is None else tol)
+                samples_per_pulse=d["samples_per_pulse"], tol=tol)
         except Exception as exc:
             raise RuntimeError(f"propagation failed for qubit state "
                                f"|{label}>: {exc}")
@@ -283,7 +282,7 @@ def cmd_phasespace(inputs: RunInputs, out_dir: str, jobs: int,
 def cmd_gate(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
     rep = metric.fidelity_report(
         inputs.gate_config(), inputs.thermal, inputs.space,
-        backend=inputs.backend, tol=1e-9 if tol is None else tol)
+        backend=inputs.backend, tol=tol)
     payload = {
         "config_hash": inputs.config_hash(),
         "config": inputs.doc,

@@ -152,61 +152,34 @@ def normal_modes(trap: TrapSpec) -> CrystalModes:
     return CrystalModes(positions=u, frequencies=freqs, vectors=b)
 
 
-def _site_curvature(modes: CrystalModes, pert: TweezerPerturbation) -> np.ndarray:
-    n = modes.n_ions
-    i, j = pert.pair
-    if i >= n or j >= n:
-        raise ValueError("pair index out of range for %d ions" % n)
-    si, sj = pert.spin_config
-    diag = np.zeros(n)
-    diag[i] += si * pert.tweezer_frequency ** 2
-    diag[j] += sj * pert.tweezer_frequency ** 2
-    return diag
-
-
 def mode_coupling_matrix(modes: CrystalModes,
                          pert: TweezerPerturbation) -> np.ndarray:
     """Tweezer curvature in the normal-mode basis (squared rad/s):
     K_mn = w_tw^2 sum over the addressed pair of s_ion b_m,ion b_n,ion.
     Well defined for a restricted (retained) mode set."""
-    diag = _site_curvature(modes, pert)
-    b = modes.vectors
     i, j = pert.pair
-    return (diag[i] * np.outer(b[:, i], b[:, i])
-            + diag[j] * np.outer(b[:, j], b[:, j]))
+    if i >= modes.n_ions or j >= modes.n_ions:
+        raise ValueError("pair index out of range for %d ions" % modes.n_ions)
+    si, sj = pert.spin_config
+    w2, b = pert.tweezer_frequency ** 2, modes.vectors
+    return (si * w2 * np.outer(b[:, i], b[:, i])
+            + sj * w2 * np.outer(b[:, j], b[:, j]))
 
 
-def shifted_mode_frequencies(modes: CrystalModes, pert: TweezerPerturbation,
-                             method: str = "exact") -> np.ndarray:
-    """Mode frequencies with the tweezer curvature added on the pair sites.
-
-    perturbative: w_m -> sqrt(w_m^2 + w_tw^2 (b_mi^2 s_i + b_mj^2 s_j)),
-    keeping only the diagonal of the mode-basis coupling.
-    exact: diagonalize diag(w^2) + K over the modes actually present in
-    `modes` (restricted sets allowed). Both return ascending arrays.
-    """
-    _site_curvature(modes, pert)  # validates the pair against the crystal
-    if method == "perturbative":
-        i, j = pert.pair
-        si, sj = pert.spin_config
-        w2 = modes.frequencies ** 2 + pert.tweezer_frequency ** 2 * (
-            si * modes.vectors[:, i] ** 2 + sj * modes.vectors[:, j] ** 2)
-        if np.min(w2) <= 0:
-            m = int(np.argmin(w2))
-            raise ValueError(
-                "anti-trapped mode %d: squared frequency %.3e" % (m, w2[m]))
-        return np.sort(np.sqrt(w2))
-    if method == "exact":
-        # mode-basis quadratic form diag(w^2) + K keeps restricted mode sets
-        # well posed (the ion-basis form would be rank deficient there); for
-        # a complete mode set the spectra coincide
-        k = mode_coupling_matrix(modes, pert)
-        lam = np.linalg.eigvalsh(np.diag(modes.frequencies ** 2) + k)
-        if lam[0] <= 0:
-            raise ValueError(
-                "anti-trapped mode 0: squared frequency %.3e" % lam[0])
-        return np.sqrt(lam)
-    raise ValueError("method must be 'perturbative' or 'exact'")
+def shifted_mode_frequencies(modes: CrystalModes,
+                             pert: TweezerPerturbation) -> np.ndarray:
+    """Mode frequencies, ascending, with the tweezer curvature added on the
+    pair sites: the spectrum of diag(w^2) + K over the modes actually
+    present in `modes` (restricted sets allowed)."""
+    # mode-basis quadratic form diag(w^2) + K keeps restricted mode sets
+    # well posed (the ion-basis form would be rank deficient there); for
+    # a complete mode set the spectra coincide
+    k = mode_coupling_matrix(modes, pert)
+    lam = np.linalg.eigvalsh(np.diag(modes.frequencies ** 2) + k)
+    if lam[0] <= 0:
+        raise ValueError(
+            "anti-trapped mode 0: squared frequency %.3e" % lam[0])
+    return np.sqrt(lam)
 
 
 def resonant_drive_frequency(modes: CrystalModes, tweezer_frequency: float,
@@ -221,7 +194,7 @@ def resonant_drive_frequency(modes: CrystalModes, tweezer_frequency: float,
     must track.
     """
     mixed = TweezerPerturbation(tweezer_frequency, pair, (1, -1))
-    return shifted_mode_frequencies(modes, mixed, method="exact")[0] + delta
+    return shifted_mode_frequencies(modes, mixed)[0] + delta
 
 
 def drive_frequency_correction(trap: TrapSpec, pert: TweezerPerturbation,

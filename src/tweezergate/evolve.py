@@ -32,12 +32,19 @@ from scipy.sparse import _sparsetools
 from . import _exact, crystal, drive, hilbert
 
 _TOL_RANGE = (1e-12, 1e-6)
+_TOL_DEFAULT = 1e-9  # the ode backend's tol where none is given
 
 
 def _check_tol(tol):
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ValueError(
             f"tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}]")
+
+
+def _check_backend_tol(backend, tol):
+    """A tol given with a backend that integrates nothing is an error."""
+    if tol is not None and backend != "ode":
+        raise ValueError("tol applies only to the ode backend")
 
 
 # DOP853 tableau and step-size constants of scipy.integrate.DOP853, whose
@@ -318,8 +325,7 @@ def _displace_modes(mot, alpha, space: hilbert.SpaceSpec):
 
 def run_gate(config: drive.GateConfig, qubit_state, motional_state,
              space: hilbert.SpaceSpec, backend: str = "gaussian",
-             samples_per_pulse: int = 200, tol: float = 1e-9,
-             max_step=None):
+             samples_per_pulse: int = 200, tol: float | None = None):
     """Run the full echoed pulse sequence.
 
     qubit_state: basis label ("00".."11") or a normalized length-4 vector.
@@ -330,21 +336,19 @@ def run_gate(config: drive.GateConfig, qubit_state, motional_state,
 
     backend "gaussian": exact displaced-oscillator composition; the final
     state is expressed in the per-configuration field-free reference frame.
-    backend "ode": adaptive integration (DOP853, per-step rtol tol and
-    atol 1e-3 tol, which do not bound the final state) of the literal
-    Hamiltonian, compiled by hamiltonian_terms, over the driven pulses,
-    with the drive period resolved by at least 20 steps; field-free
-    pulses, samples included, are exact closed-form exponentials of the
-    compiled static Hamiltonian. The final state is the full
-    interaction-picture state. max_step lowers the step cap further and
-    applies to "ode" only.
+    backend "ode": adaptive integration (DOP853, per-step rtol tol,
+    default _TOL_DEFAULT, and atol 1e-3 tol, which do not bound the final
+    state) of the literal Hamiltonian, compiled by hamiltonian_terms, over
+    the driven pulses (_exact.walk_pulses); field-free pulses, samples
+    included, are exact closed-form exponentials of the compiled static
+    Hamiltonian. The final state is the full interaction-picture state.
+    tol with another backend raises.
     """
     if space.n_qubits != 2:
         raise ValueError("the gate sequence addresses exactly two qubits")
     if samples_per_pulse < 200:
         raise ValueError("post-condition requires >= 200 samples per pulse")
-    if backend != "ode" and max_step is not None:
-        raise ValueError("max_step applies only to the ode backend")
+    _check_backend_tol(backend, tol)
     qvec, label = _qubit_vector(qubit_state)
     mot = _motional_vector(motional_state, space)
     norm = np.linalg.norm(qvec) * np.linalg.norm(mot)
@@ -361,7 +365,7 @@ def run_gate(config: drive.GateConfig, qubit_state, motional_state,
                              samples_per_pulse)
     if backend == "ode":
         return _run_ode(config, modes, qvec, mot, label, space,
-                        samples_per_pulse, tol, max_step)
+                        samples_per_pulse, tol)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -469,15 +473,15 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
     configs (spin signs (s_i, s_j)).
 
     The tweezer term is sum_mn K_mn / (4 sqrt(w_m w_n)) x_m(t) x_n(t) with
-    K = setup.coupling(s_i, s_j); the field term is
-    2 gamma cos(mu t) sum_m bcom_m x_m(t); x_m(t) = a_m e^{-i w_m t} + h.c.
+    K the row of setup.couplings of (s_i, s_j); the field term drives the
+    COM mode, 2 gamma cos(mu t) x_0(t); x_m(t) = a_m e^{-i w_m t} + h.c.
     Equals block c of the literal composite-space tweezer term plus
     envelope times the field term (tests/literal_hamiltonian.py). Terms
     that vanish in every block are dropped.
     """
     ws = np.asarray(setup.ws, float)
     a_ops, ad_ops = _exact.sparse_ladders(dims)
-    k_mats = np.array([setup.coupling(si, sj) for si, sj in configs])
+    k_mats = setup.couplings[[_exact.CONFIG_S.index(c) for c in configs]]
     terms = []  # (freq, static amplitude per block, field amplitude, op)
     for m, wm in enumerate(ws):
         for n, wn in enumerate(ws):
@@ -487,15 +491,11 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
                           (-(wm - wn), amp, 0.0, a_ops[m] @ ad_ops[n]),
                           (wm - wn, amp, 0.0, ad_ops[m] @ a_ops[n]),
                           (wm + wn, amp, 0.0, ad_ops[m] @ ad_ops[n])]
-    no_tweezer = np.zeros(len(configs))
-    for m, wm in enumerate(ws):
-        g = setup.gamma * setup.bcom[m]
-        if g != 0.0:
-            mu = setup.mu
-            terms += [(mu - wm, no_tweezer, g, a_ops[m]),
-                      (-(mu + wm), no_tweezer, g, a_ops[m]),
-                      (mu + wm, no_tweezer, g, ad_ops[m]),
-                      (-(mu - wm), no_tweezer, g, ad_ops[m])]
+    if setup.gamma != 0.0:
+        g, mu, w0, off = setup.gamma, setup.mu, ws[0], np.zeros(len(configs))
+        a, ad = a_ops[0], ad_ops[0]
+        terms += [(mu - w0, off, g, a), (-(mu + w0), off, g, a),
+                  (mu + w0, off, g, ad), (-(mu - w0), off, g, ad)]
     dim = int(np.prod(dims))
     coo = [op.tocoo() for *_, op in terms]
     flat = [c.row.astype(np.int64) * dim + c.col for c in coo]
@@ -513,8 +513,7 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
         tau=setup.tau, ramp_time=setup.ramp_time)
 
 
-def _run_ode(config, modes, qvec, mot, label, space, samples_per_pulse,
-             tol, max_step):
+def _run_ode(config, modes, qvec, mot, label, space, samples_per_pulse, tol):
     """Each qubit configuration of nonzero weight is walked on its own,
     its block starting from mot and following its spin path, so the
     integrator's step grid never depends on the other amplitudes and the
@@ -531,7 +530,7 @@ def _run_ode(config, modes, qvec, mot, label, space, samples_per_pulse,
         start = np.zeros((4, dim, 1), dtype=complex)
         start[c, :, 0] = mot
         states = _exact.walk_pulses(setup, space.mode_dims, start, offsets,
-                                    tol, max_step)[:, :, c, :, 0]
+                                    tol)[:, :, c, :, 0]
         out[c] = qvec[c] * states[-1, -1]
         cols = np.concatenate([mot[None], states.reshape(-1, dim)]).T
         alpha = alpha + abs(qvec[c]) ** 2 * np.sum(

@@ -172,9 +172,8 @@ def _wrap_angle(phi: float) -> float:
 
 
 def _channel_setup(config: drive.GateConfig, thermal: hilbert.ThermalEnsemble,
-                   space: hilbert.SpaceSpec, backend, max_step):
-    if max_step is not None and backend != "ode":
-        raise ValueError("max_step applies only to the ode backend")
+                   space: hilbert.SpaceSpec, backend, tol):
+    evolve._check_backend_tol(backend, tol)
     if space.n_qubits != 2:
         raise ValueError("channel reconstruction needs a two-qubit space")
     if tuple(thermal.cutoffs) != space.mode_cutoffs:
@@ -192,8 +191,7 @@ def reconstruct_channel(config: drive.GateConfig,
                         thermal: hilbert.ThermalEnsemble,
                         space: hilbert.SpaceSpec,
                         backend: str = "fock",
-                        tol: float = 1e-9,
-                        max_step=None) -> QuantumChannel:
+                        tol: float | None = None) -> QuantumChannel:
     """Thermal-averaged channel of the full echoed sequence.
 
     Backends agree on the physics and differ in method and cost: "fock"
@@ -204,16 +202,16 @@ def reconstruct_channel(config: drive.GateConfig,
     is over the untruncated ensemble, so it differs from the Fock-space
     backends at the size of the truncated tail). The truncated backends
     raise when the thermal weight beyond the cutoffs exceeds TAIL_LIMIT;
-    no cutoff enters "gaussian", so it has no such limit. tol (DOP853's
-    per-step relative tolerance, atol 1e-12; not a bound on W) and
-    max_step are the "ode" integrator's; max_step with another backend
-    raises.
+    no cutoff enters "gaussian", so it has no such limit. tol is the "ode"
+    integrator's (DOP853's per-step relative tolerance, default
+    evolve._TOL_DEFAULT, atol 1e-12; not a bound on W); tol with another
+    backend raises.
     """
-    setup = _channel_setup(config, thermal, space, backend, max_step)
-    return _channel(setup, config, thermal, space, backend, tol, max_step)
+    setup = _channel_setup(config, thermal, space, backend, tol)
+    return _channel(setup, config, thermal, space, backend, tol)
 
 
-def _channel(setup, config, thermal, space, backend, tol, max_step):
+def _channel(setup, config, thermal, space, backend, tol):
     if backend == "gaussian":
         w, _ = _exact.gaussian_wmat(setup, thermal.nbar)
     elif backend in ("fock", "column"):
@@ -222,7 +220,7 @@ def _channel(setup, config, thermal, space, backend, tol, max_step):
                                 for m in range(space.n_modes)])
     elif backend == "ode":
         w, _ = _exact.ode_wmat(setup, space.mode_dims, thermal.weights(),
-                               rtol=tol, max_step=max_step)
+                               tol=tol)
     else:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"choose from {BACKENDS}")
@@ -354,13 +352,12 @@ def fidelity_report(config: drive.GateConfig,
                     thermal: hilbert.ThermalEnsemble,
                     space: hilbert.SpaceSpec,
                     backend: str = "fock",
-                    tol: float = 1e-9,
-                    max_step=None) -> FidelityReport:
+                    tol: float | None = None) -> FidelityReport:
     """Reconstruct the channel, compare against the reference gate, and
     package the scores with a full parameter snapshot; all three read one
-    SequenceSetup. tol and max_step as in reconstruct_channel."""
-    setup = _channel_setup(config, thermal, space, backend, max_step)
-    channel = _channel(setup, config, thermal, space, backend, tol, max_step)
+    SequenceSetup. tol as in reconstruct_channel."""
+    setup = _channel_setup(config, thermal, space, backend, tol)
+    channel = _channel(setup, config, thermal, space, backend, tol)
     ref = _ideal_gate(setup)
     fid = process_fidelity(channel, ref)
     phi = conditional_phase_from_channel(channel)

@@ -1,8 +1,8 @@
 """Literal constructions the package never needs but the tests check it
 against: ladder operators and basis states on the composite space, the
-axial Hessian, a plain DOP853 propagation of an explicit H(t), the
-two-qubit Pauli basis, and the channel of a composite-space propagator
-by literal partial trace.
+axial Hessian, the perturbative tweezer-shifted spectrum, a plain DOP853
+propagation of an explicit H(t), the two-qubit Pauli basis, and the
+channel of a composite-space propagator by literal partial trace.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +65,21 @@ def axial_hessian(trap, positions) -> np.ndarray:
             a[i, j] = -2.0 / gap ** 3
             a[i, i] += 2.0 / gap ** 3
     return trap.axial_frequency ** 2 * a
+
+
+def perturbative_mode_frequencies(modes, pert) -> np.ndarray:
+    """Tweezer-shifted mode frequencies, ascending, keeping only the
+    diagonal of the mode-basis coupling:
+    w_m -> sqrt(w_m^2 + w_tw^2 (b_mi^2 s_i + b_mj^2 s_j))."""
+    i, j = pert.pair
+    si, sj = pert.spin_config
+    w2 = modes.frequencies ** 2 + pert.tweezer_frequency ** 2 * (
+        si * modes.vectors[:, i] ** 2 + sj * modes.vectors[:, j] ** 2)
+    if np.min(w2) <= 0:
+        m = int(np.argmin(w2))
+        raise ValueError(
+            "anti-trapped mode %d: squared frequency %.3e" % (m, w2[m]))
+    return np.sort(np.sqrt(w2))
 
 
 def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):

@@ -52,6 +52,23 @@ class TestFieldForGateCondition:
         msg = str(rec[0].message)
         assert "1.3484e-03" in msg and "2.6889e-04" in msg
 
+    def test_quarter_pi_rule_evaluates_the_phase_once(self, monkeypatch):
+        # the phase is exactly proportional to E0^2, so the rule's own
+        # phase fixes the pi/4 field
+        calls = []
+        raw = calibrate._raw_conditional_phase
+
+        def counted(*args):
+            calls.append(args)
+            return raw(*args)
+
+        monkeypatch.setattr(calibrate, "_raw_conditional_phase", counted)
+        with pytest.warns(UserWarning, match="2.6889e-04"):
+            calibrate.field_for_gate_condition(
+                DELTA, trap(), "pi_over_4_coupling",
+                tweezer_frequency=0.25 * trap().axial_frequency)
+        assert len(calls) == 1
+
     def test_quarter_pi_rule_linear_in_delta(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -318,7 +318,7 @@ class TestSharedParser:
             rc = cli.main(["gate", "--config", path,
                            "--out-dir", str(tmp_path / "out")] + extra)
             assert rc == 3
-        assert seen == [1e-10, 1e-9]
+        assert seen == [1e-10, None]
 
     def test_parse_error_then_valid_call(self, tmp_path, capsys):
         assert cli.main(["gate", "--jobs", "two"]) == 2
@@ -362,6 +362,19 @@ class TestGate:
                              "--out-dir", str(d)]) == 0
         assert (d1 / "gate_report.json").read_bytes() == \
                (d2 / "gate_report.json").read_bytes()
+
+    def test_default_tol_is_the_library_default(self, tmp_path):
+        # on an ode config (the tests' fast gate) no --tol and --tol 1e-9
+        # write the same bytes
+        path = write_doc(tmp_path, fig2_doc(
+            backend="ode", detuning_hz=-2.0e4,
+            field_amplitude_v_per_m=20 * 2.69e-4, mode_cutoffs=[4]))
+        outs = [tmp_path / "default", tmp_path / "given"]
+        for out, extra in zip(outs, ([], ["--tol", "1e-9"])):
+            assert cli.main(["gate", "--config", path,
+                             "--out-dir", str(out)] + extra) == 0
+        assert (outs[0] / "gate_report.json").read_bytes() == \
+               (outs[1] / "gate_report.json").read_bytes()
 
     def test_out_dir_from_document(self, tmp_path, capsys):
         target = tmp_path / "from_doc"

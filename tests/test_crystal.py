@@ -9,7 +9,7 @@ import pytest
 import scipy.constants as const
 import scipy.optimize
 
-from oracles import axial_hessian
+from oracles import axial_hessian, perturbative_mode_frequencies
 from tweezergate import crystal
 from tweezergate.crystal import (
     CrystalModes,
@@ -207,7 +207,7 @@ class TestShiftedModes:
         for n, pair in [(2, (0, 1)), (3, (0, 2)), (4, (1, 2))]:
             m = normal_modes(trap(n))
             p = TweezerPerturbation(0.2 * W, pair, (1, -1))
-            w = shifted_mode_frequencies(m, p, method="perturbative")
+            w = perturbative_mode_frequencies(m, p)
             # b^2 is 1/N on every site, so opposite signs cancel exactly
             assert w[0] == pytest.approx(W, rel=1e-14)
 
@@ -215,7 +215,7 @@ class TestShiftedModes:
         m = normal_modes(trap(2))
         wt = 0.25 * W
         p = TweezerPerturbation(wt, (0, 1), (1, 1))
-        w = shifted_mode_frequencies(m, p, method="perturbative")
+        w = perturbative_mode_frequencies(m, p)
         assert w[0] == pytest.approx(np.sqrt(W ** 2 + wt ** 2), rel=1e-12)
 
     def test_two_ion_exact_eigenvalues(self):
@@ -224,7 +224,7 @@ class TestShiftedModes:
         wt = 0.25 * W
         t = (wt / W) ** 2
         p = TweezerPerturbation(wt, (0, 1), (1, -1))
-        w = shifted_mode_frequencies(m, p, method="exact")
+        w = shifted_mode_frequencies(m, p)
         ref = W * np.sqrt([2.0 - np.sqrt(1 + t * t), 2.0 + np.sqrt(1 + t * t)])
         assert w == pytest.approx(ref, rel=1e-12)
 
@@ -238,8 +238,8 @@ class TestShiftedModes:
         for ratio in (0.05, 0.08):
             wt = ratio * W
             p = TweezerPerturbation(wt, (0, 1), (1, -1))
-            we = shifted_mode_frequencies(m, p, method="exact")
-            wp = shifted_mode_frequencies(m, p, method="perturbative")
+            we = shifted_mode_frequencies(m, p)
+            wp = perturbative_mode_frequencies(m, p)
             cs.append(np.max(np.abs(we - wp)) * W ** 3 / wt ** 4)
         assert max(cs) < 0.3
         # quartic scaling: the fitted constant is ratio-independent
@@ -252,7 +252,7 @@ class TestShiftedModes:
         for n in (2, 4):
             m = normal_modes(trap(n))
             p = TweezerPerturbation(wt, (0, 1), (1, 1))
-            w = shifted_mode_frequencies(m, p, method="perturbative")
+            w = perturbative_mode_frequencies(m, p)
             shifts.append(w[0] - W)
         assert shifts[0] == pytest.approx(2.0 * shifts[1], rel=5e-3)
 
@@ -260,15 +260,9 @@ class TestShiftedModes:
         m = normal_modes(trap(2))
         p = TweezerPerturbation(1.5 * W, (0, 1), (-1, -1))
         with pytest.raises(ValueError, match="mode"):
-            shifted_mode_frequencies(m, p, method="exact")
+            shifted_mode_frequencies(m, p)
         with pytest.raises(ValueError, match="mode"):
-            shifted_mode_frequencies(m, p, method="perturbative")
-
-    def test_bad_method_rejected(self):
-        m = normal_modes(trap(2))
-        p = TweezerPerturbation(0.1 * W, (0, 1), (1, 1))
-        with pytest.raises(ValueError):
-            shifted_mode_frequencies(m, p, method="variational")
+            perturbative_mode_frequencies(m, p)
 
     def test_restricted_mode_set(self):
         # COM-only restriction: mixed-config curvature cancels exactly, so
@@ -276,13 +270,13 @@ class TestShiftedModes:
         m = normal_modes(trap(2))
         p = TweezerPerturbation(0.25 * W, (0, 1), (1, -1))
         com_only = m.restrict((0,))
-        w = shifted_mode_frequencies(com_only, p, method="exact")
+        w = shifted_mode_frequencies(com_only, p)
         assert w.shape == (1,)
         assert w[0] == pytest.approx(W, rel=1e-14)
         # full restriction reproduces the unrestricted spectrum
-        w_full = shifted_mode_frequencies(m.restrict((0, 1)), p, method="exact")
+        w_full = shifted_mode_frequencies(m.restrict((0, 1)), p)
         np.testing.assert_allclose(
-            w_full, shifted_mode_frequencies(m, p, method="exact"), rtol=1e-14)
+            w_full, shifted_mode_frequencies(m, p), rtol=1e-14)
 
 
 class TestDriveCorrection:

@@ -464,21 +464,20 @@ class TestRunGate:
         assert np.abs(psi - psi_ref).max() < 1e-10
         assert np.abs(traj.alpha - alpha_ref).max() < 1e-10
 
-    def test_max_step_only_for_ode(self):
+    def test_tol_only_for_ode(self):
         cfg = config()
         space = hilbert.SpaceSpec(2, (4,))
-        with pytest.raises(ValueError, match="max_step"):
-            run_gate(cfg, "01", (0,), space, backend="gaussian",
-                     max_step=1e-8)
+        with pytest.raises(ValueError, match="tol applies only to the ode"):
+            run_gate(cfg, "01", (0,), space, backend="gaussian", tol=1e-9)
 
-    def test_max_step_halving(self):
+    def test_max_step_halving(self, monkeypatch):
+        # halving the integrator's step cap, (2 pi / mu) / 20, moves the
+        # final state by less than 1e-9
         cfg = fast_config()
         space = hilbert.SpaceSpec(2, (8,))
-        modes = crystal.normal_modes(trap(2)).restrict([0])
-        cap = (2 * np.pi / drive.resolve_drive_frequency(cfg, modes)) / 20
         p1, _ = run_gate(cfg, "01", (0,), space, backend="ode", tol=1e-10)
-        p2, _ = run_gate(cfg, "01", (0,), space, backend="ode", tol=1e-10,
-                         max_step=cap / 2)
+        monkeypatch.setattr(_exact, "STEPS_PER_DRIVE_PERIOD", 40)
+        p2, _ = run_gate(cfg, "01", (0,), space, backend="ode", tol=1e-10)
         assert abs(abs(np.vdot(p1, p2)) - 1) < 1e-9
 
     def test_loop_closure_tracks_ramp(self):
@@ -543,16 +542,16 @@ class TestPulseWalker:
         assert calls == []
 
     def test_step_cap_applies_to_both_entry_points(self, monkeypatch):
-        # a max_step above the cap (2 pi / mu) / 20 must not loosen it
+        # both integrate with the cap (2 pi / mu) / 20
         calls = []
         monkeypatch.setattr(evolve, "_integrate", _fake_integrate(calls))
         cfg = fast_config()
         space = hilbert.SpaceSpec(2, (2,))
         modes = evolve.retained_modes(cfg, space)
         cap = (2 * np.pi / drive.resolve_drive_frequency(cfg, modes)) / 20
-        run_gate(cfg, "01", (0,), space, backend="ode", max_step=10 * cap)
+        run_gate(cfg, "01", (0,), space, backend="ode")
         metric.reconstruct_channel(cfg, hilbert.ThermalEnsemble((0.0,), (2,)),
-                                   space, backend="ode", max_step=10 * cap)
+                                   space, backend="ode")
         assert calls and all(s == pytest.approx(cap, rel=1e-12)
                              for s in calls)
 

@@ -98,13 +98,18 @@ def segments_ref(t_a, tau, tr):
             ("down", t_a + tau - tr, t_a + tau)]
 
 
+def coupling(setup, cfg):
+    """The tweezer curvature of the spin configuration cfg."""
+    return setup.couplings[_exact.CONFIG_S.index(tuple(cfg))]
+
+
 def segment_pieces_ref(setup, k_mat, t_a):
     """[(t1, t2, pieces of a_n, pieces of a_n^dag)] for the driven segments
     of one pulse, each coefficient a list of (beta, theta)."""
     n = setup.n_modes
     wt, o = _exact.normal_form(setup.ws, k_mat)
     sw = np.sqrt(np.asarray(setup.ws, float))
-    proj = np.asarray(setup.bcom, float) * sw
+    proj = np.eye(n)[0] * sw  # the field drives the COM mode, mode 0
     pa = [[] for _ in range(n)]
     pad = [[] for _ in range(n)]
     for m in range(n):
@@ -132,11 +137,11 @@ def segment_pieces_ref(setup, k_mat, t_a):
 
 
 def config_generators_ref(setup, si, sj):
-    path = _exact.path_of(si, sj, setup.echo_schedule, setup.pulse_count)
+    path = _exact.path_of(si, sj, setup.echo_schedule)
     gens = []
     t_map = None
     for p, cfg in enumerate(path):
-        k_mat = setup.coupling(*cfg)
+        k_mat = coupling(setup, cfg)
         if p in setup.field_pulses and setup.gamma != 0.0:
             for t1, t2, ca, cad in segment_pieces_ref(setup, k_mat,
                                                       p * setup.tau):
@@ -158,19 +163,19 @@ def config_generators_ref(setup, si, sj):
 
 def full_coef(seg):
     """The product-form segment coefficients (pulse_segment_coefs) as one
-    Coef over all pieces (e, j)."""
+    (beta, theta) over all pieces (e, j)."""
     env, env_theta, beta_x, theta_x = seg
     beta = env[..., None, :, None] * beta_x[..., None, :, None, :]
     theta = env_theta[..., :, None] + theta_x[..., None, None, :]
-    return _exact.Coef(beta.reshape(beta.shape[:-2] + (-1,)),
-                       theta.reshape(theta.shape[:-2] + (-1,)))
+    return (beta.reshape(beta.shape[:-2] + (-1,)),
+            theta.reshape(theta.shape[:-2] + (-1,)))
 
 
 def full_j_phase(t1, t2, coef):
     """Commutator phase of each segment read off the full (2N)^2 second
     moment matrix: the same-mode diagonals J[k, N+k] and J[N+k, k]."""
-    n = coef.beta.shape[-2] // 2
-    j = _exact.double_moment(coef, t1, t2)
+    n = coef[0].shape[-2] // 2
+    j = _exact.double_moment(*coef, t1, t2)
     jkl = np.diagonal(j[..., :n, n:], axis1=-2, axis2=-1)
     jlk = np.diagonal(j[..., n:, :n], axis1=-2, axis2=-1)
     return np.sum(np.real(-0.5j * (jkl - jlk)), axis=-1)
@@ -179,7 +184,7 @@ def full_j_phase(t1, t2, coef):
 def full_j_phase_scale(t1, t2, coef):
     """Magnitude of the terms full_j_phase sums: every piece pair's int_j
     scale (see intj_scale) times its coefficient products."""
-    th = coef.theta
+    beta, th = coef
     tha, thb = th[..., :, None], th[..., None, :]
     t1, t2 = t1[:, None, None], t2[:, None, None]
     big = np.abs(thb * (t2 - t1)) >= 1e-8
@@ -187,8 +192,8 @@ def full_j_phase_scale(t1, t2, coef):
         big, (np.abs(_exact.int0(tha + thb, t1, t2))
               + np.abs(_exact.int0(tha, t1, t2)))
         / np.abs(np.where(big, thb, 1.0)), 0.0)
-    n = coef.beta.shape[-2] // 2
-    a, ad = np.abs(coef.beta[:, :n]), np.abs(coef.beta[:, n:])
+    n = beta.shape[-2] // 2
+    a, ad = np.abs(beta[:, :n]), np.abs(beta[:, n:])
     m = np.swapaxes(a, -1, -2) @ ad + np.swapaxes(ad, -1, -2) @ a
     return 0.5 * np.sum(scale * m, axis=(-2, -1))
 
@@ -289,13 +294,12 @@ def test_double_moment_matches_scalar(t1, dt, pieces):
     t2 = t1 + dt
     th = np.array([p[0] for p in pieces]) / dt
     beta = np.array([[p[1] for p in pieces], [p[2] for p in pieces]])
-    coef = _exact.Coef(beta, th)
     lists = [list(zip(row, th)) for row in beta]
     m0 = beta @ _exact.int0(th, t1, t2)
     for k in range(2):
         terms = [b * int0_ref(x, t1, t2) for b, x in lists[k]]
         assert abs(m0[k] - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
-    j = _exact.double_moment(coef, t1, t2)
+    j = _exact.double_moment(beta, th, t1, t2)
     assert j.shape == (2, 2)
     for k in range(2):
         for l in range(2):
@@ -311,12 +315,11 @@ def test_batched_segments_match_single():
     beta = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
     t1 = np.array([0.0, 1e-5, 3e-5])
     t2 = np.array([1e-5, 3e-5, 3.5e-5])
-    j = _exact.double_moment(_exact.Coef(beta, th), t1, t2)
+    j = _exact.double_moment(beta, th, t1, t2)
     m0 = beta @ _exact.int0(th, t1[:, None], t2[:, None])[..., None]
     for s in range(3):
-        one = _exact.Coef(beta[s], th[s])
         np.testing.assert_allclose(j[s], _exact.double_moment(
-            one, t1[s], t2[s]), rtol=1e-13)
+            beta[s], th[s], t1[s], t2[s]), rtol=1e-13)
         np.testing.assert_allclose(m0[s, :, 0], beta[s] @ _exact.int0(
             th[s], t1[s], t2[s]), rtol=1e-13)
 
@@ -339,10 +342,9 @@ def test_block_phase_matches_full_j(n, data, ratio, detuning_khz, ramp):
     setup = _exact.setup_from_config(
         cfg, crystal.normal_modes(trap).restrict(range(n)))
     for si, sj in _exact.CONFIG_S:
-        path = _exact.path_of(si, sj, setup.echo_schedule,
-                              setup.pulse_count)
+        path = _exact.path_of(si, sj, setup.echo_schedule)
         for p in setup.field_pulses:
-            dressed = _exact.normal_form(setup.ws, setup.coupling(*path[p]))
+            dressed = _exact.normal_form(setup.ws, coupling(setup, path[p]))
             t1, t2, seg = _exact.pulse_segment_coefs(setup, dressed,
                                                      p * setup.tau)
             _, phase = _exact.segment_generators(t1, t2, seg)
@@ -464,10 +466,37 @@ def test_field_off_gives_no_generators():
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3_twomode", "table1"])
+def test_couplings_are_the_read_only_configuration_stack(name):
+    # row c is the curvature of CONFIG_S[c], built once per setup
+    setup, inputs = preset_setup(name)
+    cfg = inputs.gate_config()
+    modes = evolve.retained_modes(cfg, inputs.space)
+    assert setup.couplings.shape == (4, setup.n_modes, setup.n_modes)
+    assert not setup.couplings.flags.writeable
+    for row, spins in zip(setup.couplings, _exact.CONFIG_S):
+        assert np.array_equal(row, crystal.mode_coupling_matrix(
+            modes, crystal.TweezerPerturbation(cfg.tweezer_frequency,
+                                               cfg.pair, spins)))
+
+
+def test_zero_tweezer_gives_bare_frames():
+    # without the tweezer every configuration sees the bare modes
+    _, inputs = preset_setup("table1")
+    cfg = dataclasses.replace(inputs.gate_config(), tweezer_frequency=0.0)
+    setup = _exact.setup_from_config(
+        cfg, evolve.retained_modes(cfg, inputs.space))
+    assert not setup.couplings.any()
+    wt, o = setup.frames
+    np.testing.assert_allclose(wt, np.tile(setup.ws, (4, 1)), rtol=1e-15)
+    np.testing.assert_allclose(np.abs(o), np.tile(np.eye(4), (4, 1, 1)),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3_twomode", "table1"])
 def test_static_heisenberg_map_matches_loops(name):
     setup, _ = preset_setup(name)
     for si, sj in _exact.CONFIG_S:
-        k_mat = setup.coupling(si, sj)
+        k_mat = coupling(setup, (si, sj))
         got = _exact.static_heisenberg_map(
             setup.ws, _exact.normal_form(setup.ws, k_mat), 1.3e-4, 2e-5,
             1.5e-4)
@@ -487,14 +516,14 @@ def test_static_heisenberg_map_matches_loops_random(n, data, khz, c, times,
     # frame and stacked over frames x offsets as config_trajectory calls it
     setup = random_setup(n, data, khz / 1e3, -1.0, 0.016,
                          (True, False, False, True))
-    k_mat = setup.coupling(*_exact.CONFIG_S[c])
+    k_mat = setup.couplings[c]
     dressed = _exact.normal_form(setup.ws, k_mat)
     dt, t_a, t_b = dts[0], times[0], times[1]
     np.testing.assert_allclose(
         _exact.static_heisenberg_map(setup.ws, dressed, dt, t_a, t_b),
         static_heisenberg_map_ref(setup.ws, k_mat, dt, t_a, t_b),
         rtol=0, atol=1e-14)
-    k_mats = [setup.coupling(*_exact.CONFIG_S[k]) for k in (c, 3 - c)]
+    k_mats = [setup.couplings[k] for k in (c, 3 - c)]
     wt, o = _exact.normal_form(setup.ws, np.array(k_mats))
     t_a = np.array([times[2], times[0]])[:, None]
     offsets = np.reshape(dts, (2, 3))
@@ -516,7 +545,7 @@ def test_static_heisenberg_map_batches_offsets(name):
     t_a = 2 * setup.tau
     dts = np.append(np.arange(1, 201) * setup.tau / 200, setup.tau)
     for si, sj in _exact.CONFIG_S:
-        dressed = _exact.normal_form(setup.ws, setup.coupling(si, sj))
+        dressed = _exact.normal_form(setup.ws, coupling(setup, (si, sj)))
         got = _exact.static_heisenberg_map(setup.ws, dressed, dts, t_a,
                                            t_a + dts)
         assert got.shape == (len(dts), 2 * setup.n_modes, 2 * setup.n_modes)

@@ -452,16 +452,16 @@ class TestReconstructChannel:
         assert str(channel.value) == str(gate.value)
 
     @pytest.mark.parametrize("backend", ["gaussian", "fock", "column"])
-    def test_max_step_only_for_ode(self, fig_point, backend):
+    def test_tol_only_for_ode(self, fig_point, backend):
+        # a tol that no integrator reads is an error, not ignored
         cfg, _ = fig_point
         space = hilbert.SpaceSpec(2, (4,))
         th = hilbert.ThermalEnsemble((0.0,), (4,))
-        with pytest.raises(ValueError, match="max_step"):
+        with pytest.raises(ValueError, match="tol applies only to the ode"):
             metric.reconstruct_channel(cfg, th, space, backend=backend,
-                                       max_step=1e-8)
-        with pytest.raises(ValueError, match="max_step"):
-            metric.fidelity_report(cfg, th, space, backend=backend,
-                                   max_step=1e-8)
+                                       tol=1e-9)
+        with pytest.raises(ValueError, match="tol applies only to the ode"):
+            metric.fidelity_report(cfg, th, space, backend=backend, tol=1e-9)
 
     def test_ground_state_column_oracle(self, fig_point, fig_channel):
         # at nbar = 0 the overlap is a single vacuum-column inner product
