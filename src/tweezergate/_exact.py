@@ -584,22 +584,20 @@ def ideal_phases(setup: SequenceSetup):
 # ---------------------------------------------------------------------------
 # mean-vector trajectory (full sequence, statics included)
 
-def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
-    """Bare-frame ladder expectation values along the full sequence.
-
-    m0: initial (<a_1..a_N>, conj) vector of length 2N. Returns (times,
-    means) with means[k] the length-N <a> vector at times[k].
+def config_trajectory(setup: SequenceSetup, si, sj, samples_per_pulse):
+    """Bare-frame ladder expectation values along the full sequence from
+    <a> = 0 (a Fock or thermal start). Returns (times, means) with
+    means[k] the length-N <a> vector at times[k].
 
     Uses the same split as the channel: the propagator up to any time t
     factors into the field-free reference times a pure displacement
     product whose generators are conjugated through the completed static
-    factors. The mean is then S_ref(t) (m0 + d(t)) with d the accumulated
+    factors. The mean is then S_ref(t) d(t) with d the accumulated
     displacement, exact for the partial segment as well since the dressed
     drive stays linear.  The frames, statics and moments of all pulses and
     samples are evaluated in one batch each.
     """
     n = setup.n_modes
-    m0 = np.asarray(m0, dtype=complex)
     wt, o = (x[0] for x in path_frames(setup, [(si, sj)]))
     t_a = setup.tau * np.arange(setup.pulse_count)[:, None]
     # samples inside every pulse, then the pulse end
@@ -623,12 +621,12 @@ def config_trajectory(setup: SequenceSetup, si, sj, m0, samples_per_pulse):
             env[:, None, ..., None] * i0, axis=(-3, -2))[..., None])[..., 0]
     alpha = np.zeros(n, dtype=complex)
     s_ref = np.eye(2 * n, dtype=complex)  # statics of completed pulses
-    means = [m0[:n]]
+    means = [np.zeros(n, dtype=complex)]
     for s_all, w_all in zip(statics, moments):
         w_all = w_all @ s_ref
         a_t = alpha + (-1j) * w_all[:-1, n:]
         d = np.concatenate([a_t, np.conj(a_t)], axis=-1)
-        means.extend(((s_all[:-1] @ s_ref) @ (m0 + d)[..., None])[:, :n, 0])
+        means.extend(((s_all[:-1] @ s_ref) @ d[..., None])[:, :n, 0])
         alpha = alpha + (-1j) * w_all[-1, n:]
         s_ref = s_all[-1] @ s_ref
     return np.append(0.0, ts), np.array(means)

@@ -342,6 +342,14 @@ def default_four_ion_trap() -> crystal.TrapSpec:
     return crystal.TrapSpec(4, YB171_MASS_KG, DEFAULT_COM_FREQUENCY)
 
 
+def check_pair_study(trap: crystal.TrapSpec, cutoffs):
+    """Raise ValueError unless trap has four ions and cutoffs all modes."""
+    if trap.n_ions != 4:
+        raise ValueError("the pair study expects a four-ion crystal")
+    if len(cutoffs) != trap.n_ions:
+        raise ValueError("the pair study retains all four axial modes")
+
+
 def four_ion_table(tweezer_frequency: float, delta_base: float,
                    trap=None, field_amplitude: float = 2.69e-4,
                    cutoffs=(14, 6, 6, 6), nbar_com: float = 0.0,
@@ -364,10 +372,7 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
     """
     if trap is None:
         trap = default_four_ion_trap()
-    if trap.n_ions != 4:
-        raise ValueError("the pair study expects a four-ion crystal")
-    if len(cutoffs) != trap.n_ions:
-        raise ValueError("the pair study retains all four axial modes")
+    check_pair_study(trap, cutoffs)
     specs = []
     for i, j in PAIR_LABELS:
         pair = (i - 1, j - 1)

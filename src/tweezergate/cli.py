@@ -102,7 +102,8 @@ def resolve_document(doc: dict) -> dict:
 
 @dataclasses.dataclass
 class RunInputs:
-    """Validated objects a command needs, plus the resolved document."""
+    """Validated objects a command needs, plus the resolved document;
+    gate_config and sweep_spec raise the library's ValueError on bad input."""
 
     doc: dict
     trap: crystal.TrapSpec
@@ -117,19 +118,16 @@ class RunInputs:
             raise ConfigError("gate dynamics need at least two ions; "
                               "only the modes command accepts n_ions = 1")
         mu = d["drive_frequency_hz"]
-        try:
-            return drive.GateConfig(
-                trap=self.trap, pair=self.pair0,
-                tweezer_frequency=TWO_PI * d["tweezer_frequency_hz"],
-                field_amplitude=d["field_amplitude_v_per_m"],
-                detuning=TWO_PI * d["detuning_hz"],
-                drive_frequency=None if mu is None else TWO_PI * mu,
-                pulse_count=d["pulse_count"],
-                field_on_mask=tuple(d["field_on_mask"]),
-                echo_schedule=tuple(tuple(b) for b in d["echo_schedule"]),
-                ramp_fraction=d["ramp_fraction"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc))
+        return drive.GateConfig(
+            trap=self.trap, pair=self.pair0,
+            tweezer_frequency=TWO_PI * d["tweezer_frequency_hz"],
+            field_amplitude=d["field_amplitude_v_per_m"],
+            detuning=TWO_PI * d["detuning_hz"],
+            drive_frequency=None if mu is None else TWO_PI * mu,
+            pulse_count=d["pulse_count"],
+            field_on_mask=tuple(d["field_on_mask"]),
+            echo_schedule=tuple(tuple(b) for b in d["echo_schedule"]),
+            ramp_fraction=d["ramp_fraction"])
 
     def sweep_spec(self) -> calibrate.SweepSpec:
         d = self.doc
@@ -139,14 +137,11 @@ class RunInputs:
             raise ConfigError(f"sweep_axis must be one of "
                               f"{tuple(SWEEP_AXES)}")
         axis, factor = SWEEP_AXES[d["sweep_axis"]]
-        try:
-            grid = tuple(factor * float(v) for v in d["sweep_grid"])
-            return calibrate.SweepSpec(
-                axis=axis, grid=grid, config=self.gate_config(),
-                cutoffs=self.space.mode_cutoffs, nbar_com=d["nbar_com"],
-                backend=self.backend, targets=tuple(d["targets"]))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc))
+        return calibrate.SweepSpec(
+            axis=axis, grid=tuple(factor * float(v) for v in d["sweep_grid"]),
+            config=self.gate_config(), cutoffs=self.space.mode_cutoffs,
+            nbar_com=d["nbar_com"], backend=self.backend,
+            targets=tuple(d["targets"]))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.doc, sort_keys=True)
@@ -174,21 +169,11 @@ def build_inputs(doc: dict) -> RunInputs:
             raise ValueError(f"mode_cutoffs lists {len(cutoffs)} modes, but "
                              f"the {n}-ion crystal has {n}")
         space = hilbert.SpaceSpec(2, cutoffs)
-        nbar_com = float(d["nbar_com"])
         thermal = hilbert.equal_temperature_ensemble(
-            nbar_com, crystal.normal_modes(trap).frequencies[:len(cutoffs)],
-            cutoffs)
+            float(d["nbar_com"]),
+            crystal.normal_modes(trap).frequencies[:len(cutoffs)], cutoffs)
         backend = d["backend"]
-        if backend not in metric.BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend in metric.TRUNCATED_BACKENDS \
-                and thermal.tail_weight() > metric.TAIL_LIMIT:
-            raise ValueError(
-                f"thermal occupation nbar_com = {nbar_com} loses weight "
-                f"{thermal.tail_weight():.2e} at cutoffs {cutoffs}; "
-                f"increase mode_cutoffs")
-        if not 0.0 <= d["ramp_fraction"] <= 0.25:
-            raise ValueError("ramp_fraction must lie in [0, 0.25]")
+        metric.check_backend(backend, thermal)
         if int(d["samples_per_pulse"]) < 200:
             raise ValueError("samples_per_pulse must be >= 200")
     except (ValueError, TypeError) as exc:
@@ -371,18 +356,23 @@ def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
     return [csv_path, json_path]
 
 
-# commands that run the ode backend and so read --tol
-_TOL_COMMANDS = ("gate", "phasespace")
-# commands that run points in a process pool and so read --jobs
-_JOBS_COMMANDS = ("sweep", "table4")
-
+# name: (function, help line, the options it reads besides --config and
+# --out-dir: --tol where it can run the ode backend, --jobs where it runs
+# points in a process pool)
 _COMMANDS = {
-    "modes": cmd_modes,
-    "phasespace": cmd_phasespace,
-    "gate": cmd_gate,
-    "sweep": cmd_sweep,
-    "table4": cmd_table4,
+    "modes": (cmd_modes, "normal-mode table and equilibrium positions", ()),
+    "phasespace": (cmd_phasespace, "COM phase-space trajectory per initial "
+                   "qubit state", ("tol",)),
+    "gate": (cmd_gate, "single gate fidelity report", ("tol",)),
+    "sweep": (cmd_sweep, "fidelity sweep over one parameter axis",
+              ("jobs",)),
+    "table4": (cmd_table4, "four-ion study over all addressed pairs",
+               ("jobs",)),
 }
+# the commands that read each option, as in "gate and phasespace"
+_READERS = {option: " and ".join(sorted(
+    name for name, (*_, reads) in _COMMANDS.items() if option in reads))
+    for option in ("tol", "jobs")}
 
 
 @functools.cache  # built once per process, on first use
@@ -391,26 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tweezergate",
         description="Tweezer-programmable phase gate simulations")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "modes": "normal-mode table and equilibrium positions",
-        "phasespace": "COM phase-space trajectory per initial qubit "
-                      "state",
-        "gate": "single gate fidelity report",
-        "sweep": "fidelity sweep over one parameter axis",
-        "table4": "four-ion study over all addressed pairs",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, text, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True,
                         help="preset name or JSON config path")
         sp.add_argument("--out-dir", default=None,
                         help="output directory (default: config out_dir "
                              "or the working directory)")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="sweep and table4 worker processes (default 1)")
+                        help=f"{_READERS['jobs']} worker processes "
+                             "(default 1)")
         sp.add_argument("--tol", type=float, default=None,
                         help="integration tolerance for the ode backend "
-                             "(gate and phasespace only)")
+                             f"({_READERS['tol']} only)")
     return parser
 
 
@@ -419,35 +402,41 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
+    run, _, reads = _COMMANDS[args.command]
     try:
         doc = load_document(args.config)
         inputs = build_inputs(doc)
         out_dir = args.out_dir or inputs.doc["out_dir"] or "."
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        if args.jobs is not None and args.command not in _JOBS_COMMANDS:
-            raise ConfigError("--jobs applies only to sweep and table4")
-        if args.tol is not None and not 1e-12 <= args.tol <= 1e-6:
-            raise ConfigError("--tol must lie in [1e-12, 1e-6]")
-        if args.tol is not None and args.command not in _TOL_COMMANDS:
-            raise ConfigError("--tol applies only to gate and phasespace")
-        if args.tol is not None and inputs.backend != "ode":
-            raise ConfigError("--tol applies only to the ode backend")
+        if args.jobs is not None and "jobs" not in reads:
+            raise ConfigError(f"--jobs applies only to {_READERS['jobs']}")
+        if args.tol is not None:
+            try:  # the library's tol rules, their messages naming the option
+                evolve._check_tol(args.tol)
+                if "tol" not in reads:
+                    raise ConfigError(
+                        f"--tol applies only to {_READERS['tol']}")
+                evolve._check_backend_tol(inputs.backend, args.tol)
+            except ValueError as exc:
+                raise ConfigError(f"--{exc}")
         if args.command == "phasespace" and inputs.backend not in (
                 "gaussian", "ode"):
             raise ConfigError(f"phasespace has no {inputs.backend} "
                               "trajectory; use the gaussian or ode backend")
+        # the library's physics checks of each command, before any file
         if args.command != "modes":
-            inputs.gate_config()  # physics validation before any file
+            inputs.gate_config()
         if args.command == "sweep":
             inputs.sweep_spec()
-    except ConfigError as exc:
+        if args.command == "table4":
+            calibrate.check_pair_study(inputs.trap, inputs.space.mode_cutoffs)
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         os.makedirs(out_dir, exist_ok=True)
-        files = _COMMANDS[args.command](inputs, out_dir, args.jobs or 1,
-                                        args.tol)
+        files = run(inputs, out_dir, args.jobs or 1, args.tol)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -82,19 +82,18 @@ def _stage_ops(generator, n_rows, n_vecs):
     return (lambda ts: [generator(t) for t in ts]), apply
 
 
-def _initial_step(evaluate, apply, t0, y, f, t1, direction, max_step, rtol,
-                  atol):
-    """scipy's select_initial_step for DOP853."""
+def _initial_step(evaluate, apply, t0, y, f, t1, max_step, rtol, atol):
+    """scipy's select_initial_step for DOP853, integrating forward."""
     def rms(x):
         return np.linalg.norm(x) / x.size ** 0.5
 
-    interval = abs(t1 - t0)
+    interval = t1 - t0
     scale = atol + np.abs(y) * rtol
     d0, d1 = rms(y / scale), rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = np.zeros_like(f)
-    apply(evaluate((t0 + h0 * direction,))[0], y + h0 * direction * f, f1)
+    apply(evaluate((t0 + h0,))[0], y + h0 * f, f1)
     d2 = rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -118,7 +117,7 @@ def _error_norm(k, h, scale):
 def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
                t_eval=None):
     """Solve dY/dt = G(t) Y, G = -i H, with DOP853 for a vector or a
-    matrix Y.
+    matrix Y, forward from t0 to t1 >= t0, no step longer than max_step.
 
     The one integrator of the package: scipy's DOP853 (its tableau,
     initial step, step-size control and dense output, in the same
@@ -127,27 +126,24 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
     in one pass and applies each with the compiled CSR kernel, or any
     callable t -> operator acting on Y. atol defaults to 1e-3 tol.
     Returns the flattened states at the times t_eval (default: t1 alone;
-    sorted in the direction of integration, within [t0, t1]), one column
-    each, read from the steps' interpolants; no other step is stored.
-    tol, DOP853's per-step rtol, does not bound the final state: at tol
-    1e-12 a short gate's |11> run ends 2.2e-10 away from a solve at rtol
-    2.2e-14.
+    strictly increasing, within [t0, t1]), one column each, read from the
+    steps' interpolants; no other step is stored. tol, DOP853's per-step
+    rtol, does not bound the final state: at tol 1e-12 a short gate's
+    |11> run ends 2.2e-10 away from a solve at rtol 2.2e-14.
     """
     _check_tol(tol)
     t0, t1 = float(t0), float(t1)
-    if max_step is None:
-        max_step = np.inf
-    elif max_step <= 0:
+    if t1 < t0:
+        raise ValueError("integration runs forward: t1 must be >= t0")
+    if not max_step > 0:
         raise ValueError("max_step must be positive")
     t_eval = np.asarray((t1,) if t_eval is None else t_eval, dtype=float)
     if t_eval.ndim != 1:
         raise ValueError("t_eval must be one-dimensional")
-    if np.any(t_eval < min(t0, t1)) or np.any(t_eval > max(t0, t1)):
+    if np.any(t_eval < t0) or np.any(t_eval > t1):
         raise ValueError("t_eval must lie within [t0, t1]")
-    steps = np.diff(t_eval)
-    if t1 > t0 and np.any(steps <= 0) or t1 < t0 and np.any(steps >= 0):
-        raise ValueError("t_eval must be sorted in the direction of "
-                         "integration")
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("t_eval must be sorted, strictly increasing")
     rtol = tol
     atol = np.asarray(tol * 1e-3 if atol is None else atol)
     y0 = np.asarray(state, dtype=complex)
@@ -156,7 +152,6 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
     if n == 0 or t0 == t1:
         return np.repeat(y[:, None], len(t_eval), axis=1)
     evaluate, apply = _stage_ops(generator, len(y0), n // len(y0))
-    direction = np.sign(t1 - t0)
     # K[s] accumulates the stage derivative s of a step; rows 13-15 hold
     # the extra stages of the dense output
     k_ext = np.zeros((_DOP.A_EXTRA.shape[1], n), dtype=complex)
@@ -167,16 +162,14 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
 
     f = np.zeros(n, dtype=complex)
     apply(evaluate((t0,))[0], y, f)
-    h_abs = _initial_step(evaluate, apply, t0, y, f, t1, direction,
-                          max_step, rtol, atol)
+    h_abs = _initial_step(evaluate, apply, t0, y, f, t1, max_step, rtol,
+                          atol)
 
-    if direction < 0:
-        t_eval = t_eval[::-1]
-    i_eval = 0 if direction > 0 else len(t_eval)
+    i_eval = 0
     out = []
     t = t0
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
         elif h_abs < min_step:
@@ -187,12 +180,8 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
                 raise RuntimeError(
                     f"integration failed at t = {t:.9e} s: required step "
                     "size is less than spacing between numbers")
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = np.abs(h)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
             ops = evaluate(t + _STAGE_C * h)
             k[0] = f
             k[1:] = 0.0
@@ -212,12 +201,8 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
         t_old, y_old = t, y
         t, y, f = t_new, y_new, k[-1].copy()
 
-        if direction > 0:
-            i_new = t_eval.searchsorted(t, side="right")
-            t_step = t_eval[i_eval:i_new]
-        else:
-            i_new = t_eval.searchsorted(t, side="left")
-            t_step = t_eval[i_new:i_eval][::-1]
+        i_new = t_eval.searchsorted(t, side="right")
+        t_step = t_eval[i_eval:i_new]
         if t_step.size > 0:
             # scipy's Dop853DenseOutput over the step just taken
             ops = evaluate(t_old + _DOP.C_EXTRA * h)
@@ -239,7 +224,7 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
             ys += y_old
             out.append(ys.T)
             i_eval = i_new
-        if direction * (t - t1) >= 0:
+        if t >= t1:
             break
     return np.hstack(out) if out else np.zeros((n, 0), dtype=complex)
 
@@ -383,8 +368,8 @@ def _run_gaussian(config, modes, qvec, mot, label, space,
         block = slice(c * space.mode_dim, (c + 1) * space.mode_dim)
         out[block] = qvec[c] * np.exp(1j * phase) * _displace_modes(
             mot, alpha, space)
-        times, means = _exact.config_trajectory(
-            setup, *cfg, np.zeros(2 * n, dtype=complex), samples_per_pulse)
+        times, means = _exact.config_trajectory(setup, *cfg,
+                                                samples_per_pulse)
         alphas.append(abs(qvec[c]) ** 2 * means[:, 0])
     return out, Trajectory(times, np.sum(alphas, axis=0), label)
 
@@ -466,11 +451,11 @@ class PulseGenerator:
                              shape=(self.dim,) * 2)
 
 
-def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
-                      configs=_exact.CONFIG_S) -> CompiledHamiltonian:
+def hamiltonian_terms(setup: _exact.SequenceSetup,
+                      dims) -> CompiledHamiltonian:
     """Compile the pulse Hamiltonian of a SequenceSetup on the mode space
-    with cutoff dimensions dims, one block per qubit configuration in
-    configs (spin signs (s_i, s_j)).
+    with cutoff dimensions dims, block c for configuration _exact.CONFIG_S[c]
+    (spin signs (s_i, s_j)); _exact.walk_pulses picks each pulse's rows.
 
     The tweezer term is sum_mn K_mn / (4 sqrt(w_m w_n)) x_m(t) x_n(t) with
     K the row of setup.couplings of (s_i, s_j); the field term drives the
@@ -481,18 +466,18 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
     """
     ws = np.asarray(setup.ws, float)
     a_ops, ad_ops = _exact.sparse_ladders(dims)
-    k_mats = setup.couplings[[_exact.CONFIG_S.index(c) for c in configs]]
+    n_blocks = len(setup.couplings)
     terms = []  # (freq, static amplitude per block, field amplitude, op)
     for m, wm in enumerate(ws):
         for n, wn in enumerate(ws):
-            amp = 0.25 * k_mats[:, m, n] / math.sqrt(wm * wn)
+            amp = 0.25 * setup.couplings[:, m, n] / math.sqrt(wm * wn)
             if amp.any():
                 terms += [(-(wm + wn), amp, 0.0, a_ops[m] @ a_ops[n]),
                           (-(wm - wn), amp, 0.0, a_ops[m] @ ad_ops[n]),
                           (wm - wn, amp, 0.0, ad_ops[m] @ a_ops[n]),
                           (wm + wn, amp, 0.0, ad_ops[m] @ ad_ops[n])]
     if setup.gamma != 0.0:
-        g, mu, w0, off = setup.gamma, setup.mu, ws[0], np.zeros(len(configs))
+        g, mu, w0, off = setup.gamma, setup.mu, ws[0], np.zeros(n_blocks)
         a, ad = a_ops[0], ad_ops[0]
         terms += [(mu - w0, off, g, a), (-(mu + w0), off, g, a),
                   (mu + w0, off, g, ad), (-(mu - w0), off, g, ad)]
@@ -505,7 +490,7 @@ def hamiltonian_terms(setup: _exact.SequenceSetup, dims,
         data[k, np.searchsorted(union, f)] = c.data
     return CompiledHamiltonian(
         freqs=np.array([t[0] for t in terms], dtype=float),
-        static=np.array([t[1] for t in terms]).reshape(-1, len(configs)).T,
+        static=np.array([t[1] for t in terms]).reshape(-1, n_blocks).T,
         field=np.array([t[2] for t in terms], dtype=float),
         data=data,
         indptr=np.searchsorted(union // dim, np.arange(dim + 1)),

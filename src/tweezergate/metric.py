@@ -171,6 +171,21 @@ def _wrap_angle(phi: float) -> float:
     return out - math.pi
 
 
+def check_backend(backend: str, thermal: hilbert.ThermalEnsemble):
+    """Raise ValueError for a backend outside BACKENDS, and for one of
+    TRUNCATED_BACKENDS when the thermal weight beyond the cutoffs exceeds
+    TAIL_LIMIT; no cutoff enters "gaussian"."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; "
+                         f"choose from {BACKENDS}")
+    tail = thermal.tail_weight()
+    if backend in TRUNCATED_BACKENDS and tail > TAIL_LIMIT:
+        raise ValueError(
+            f"thermal ensemble loses weight {tail:.3e} to truncation at "
+            f"mode_cutoffs {thermal.cutoffs} (limit {TAIL_LIMIT:.0e}); "
+            "increase the mode cutoffs")
+
+
 def _channel_setup(config: drive.GateConfig, thermal: hilbert.ThermalEnsemble,
                    space: hilbert.SpaceSpec, backend, tol):
     evolve._check_backend_tol(backend, tol)
@@ -178,11 +193,7 @@ def _channel_setup(config: drive.GateConfig, thermal: hilbert.ThermalEnsemble,
         raise ValueError("channel reconstruction needs a two-qubit space")
     if tuple(thermal.cutoffs) != space.mode_cutoffs:
         raise ValueError("thermal ensemble cutoffs must match the space")
-    tail = thermal.tail_weight()
-    if backend in TRUNCATED_BACKENDS and tail > TAIL_LIMIT:
-        raise ValueError(
-            f"thermal ensemble loses weight {tail:.3e} to truncation "
-            f"(limit {TAIL_LIMIT:.0e}); increase the mode cutoffs")
+    check_backend(backend, thermal)
     modes = evolve.retained_modes(config, space)
     return _exact.setup_from_config(config, modes)
 
@@ -201,8 +212,8 @@ def reconstruct_channel(config: drive.GateConfig,
     "gaussian" evaluates the closed displacement form (its thermal average
     is over the untruncated ensemble, so it differs from the Fock-space
     backends at the size of the truncated tail). The truncated backends
-    raise when the thermal weight beyond the cutoffs exceeds TAIL_LIMIT;
-    no cutoff enters "gaussian", so it has no such limit. tol is the "ode"
+    raise when the thermal weight beyond the cutoffs exceeds TAIL_LIMIT
+    (check_backend). tol is the "ode"
     integrator's (DOP853's per-step relative tolerance, default
     evolve._TOL_DEFAULT, atol 1e-12; not a bound on W); tol with another
     backend raises.
@@ -218,12 +229,9 @@ def _channel(setup, config, thermal, space, backend, tol):
         w = _exact.column_wmat(setup, space.mode_dims,
                                [thermal.mode_weights(m)
                                 for m in range(space.n_modes)])
-    elif backend == "ode":
+    else:  # "ode", the one other name check_backend lets through
         w, _ = _exact.ode_wmat(setup, space.mode_dims, thermal.weights(),
                                tol=tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"choose from {BACKENDS}")
     return QuantumChannel(images=_PAULI_STACK * w, overlaps=w,
                           nbar=thermal.nbar, cutoffs=space.mode_cutoffs,
                           config=config, backend=backend)

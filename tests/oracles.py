@@ -82,18 +82,18 @@ def perturbative_mode_frequencies(modes, pert) -> np.ndarray:
     return np.sort(np.sqrt(w2))
 
 
-def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=None):
-    """Integrate i d|psi>/dt = H(t)|psi> from t0 to t1 with the package's
-    DOP853 stepper.
+def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=np.inf):
+    """Integrate i d|psi>/dt = H(t)|psi> forward from t0 to t1 with the
+    package's DOP853 stepper.
 
     hamiltonian: callable t -> operator (sparse or dense array) acting on
-    state vectors. t1 < t0 integrates backwards.
+    state vectors.
     """
     return evolve._integrate(lambda t: -1j * hamiltonian(t), state, t0, t1,
                              tol, max_step)[:, -1]
 
 
-def propagator(hamiltonian, dim, t0, t1, tol=1e-9, max_step=None):
+def propagator(hamiltonian, dim, t0, t1, tol=1e-9, max_step=np.inf):
     """Propagator matrix on a dim-dimensional space: the columns are
     propagate() of the basis states, integrated as one matrix-valued ODE
     so all columns share the adaptive time grid."""

@@ -195,6 +195,22 @@ class TestConfigErrors:
         assert not out.exists()
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gate", "phasespace", "sweep",
+                                         "table4"])
+    def test_ramp_fraction_checked_by_gate_config(self, tmp_path, capsys,
+                                                  command):
+        # drive.GateConfig's range check, before any file; modes reads no
+        # ramp and ignores the key, as it ignores the other gate keys
+        doc = dict(cli.load_document("table1"), ramp_fraction=0.3,
+                   backend="gaussian", sweep_axis="nbar", sweep_grid=[0.0])
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", path, "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: ramp_fraction must lie in [0, 0.25]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_physics_exits_2_for_gate(self, tmp_path, capsys):
         path = write_doc(tmp_path, fig2_doc(detuning_hz=0.0))
         rc = cli.main(["gate", "--config", path,
@@ -494,6 +510,21 @@ class TestTable4:
         assert len(payload["rows"]) == 4
         assert "conventions" in payload
         assert "offset_definition" in payload["conventions"]
+
+    @pytest.mark.parametrize("preset, cutoffs, message", [
+        ("fig2", [20], "expects a four-ion crystal"),
+        ("table1", [8, 4, 4], "retains all four axial modes")])
+    def test_pair_study_config_exits_2(self, tmp_path, capsys, preset,
+                                       cutoffs, message):
+        # the pair study's own checks run before any file is written
+        path = write_doc(tmp_path, dict(cli.load_document(preset),
+                                        mode_cutoffs=cutoffs))
+        out = tmp_path / "never"
+        rc = cli.main(["table4", "--config", path, "--out-dir", str(out)])
+        assert rc == 2
+        assert (f"config error: the pair study {message}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestNumericalFailure:

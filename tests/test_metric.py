@@ -424,6 +424,28 @@ class TestReconstructChannel:
         f_f = metric.process_fidelity(ch_f, np.eye(4))
         assert abs(f_o - f_f) < 1e-5
 
+    def test_ode_agrees_at_the_operating_point(self, fig_point):
+        # the fig2 gate itself (N = 2, delta = -2 pi 1 kHz, 1 ms pulses),
+        # vacuum, cutoff 8, tol 1e-9; one ode channel, about 4 s.
+        # Tolerances from a tol sweep (1e-8, 1e-9, 1e-10) against fock:
+        # - W: max |dW| read 3.5e-9, 2.6e-9, 2.5e-9. Tightening tol leaves a
+        #   floor near 2.5e-9, so the bound 1e-8 sits 4x above it.
+        # - F: F(ode) - F(fock) read -3.5e-10, -6.3e-11, -2.7e-11. The bound
+        #   2e-10 is 3x the tol-1e-9 value, and a tenfold looser
+        #   integration (the tol-1e-8 value) exceeds it.
+        cfg, _ = fig_point
+        space = hilbert.SpaceSpec(2, (8,))
+        th = hilbert.ThermalEnsemble((0.0,), (8,))
+        ch_o = metric.reconstruct_channel(cfg, th, space, backend="ode",
+                                          tol=1e-9)
+        ch_f = metric.reconstruct_channel(cfg, th, space, backend="fock")
+        assert np.max(np.abs(ch_o.overlaps - ch_f.overlaps)) < 1e-8
+        ref = metric.ideal_gate(cfg, evolve.retained_modes(cfg, space))
+        f_o = metric.process_fidelity(ch_o, ref)
+        f_f = metric.process_fidelity(ch_f, ref)
+        assert 1 - f_f > 1e-4  # the gate's own error, far above the bound
+        assert abs(f_o - f_f) < 2e-10
+
     def test_ode_propagators_unitary(self):
         # the test suite's fast gate (20x |delta| and field)
         cfg = config(field_amplitude=20 * 2.69e-4,
@@ -503,6 +525,28 @@ class TestReconstructChannel:
                               full.g1, full.g2)
         with pytest.raises(ValueError, match="loses weight 7.508e-02"):
             report(8, "fock")
+
+    @pytest.mark.parametrize("backend", metric.BACKENDS + ("magic",))
+    def test_one_backend_check(self, backend):
+        # the library and the CLI reject an unknown backend, and a heavy
+        # tail on a truncated one, through one check with one message
+        th = hilbert.ThermalEnsemble((1.0,), (3,))
+        doc = dict(cli.load_document("fig2"), nbar_com=1.0,
+                   mode_cutoffs=[3], backend=backend)
+        if backend == "gaussian":  # no cutoff enters its average
+            metric.check_backend(backend, th)
+            cli.build_inputs(doc)
+            return
+        with pytest.raises(ValueError) as lib:
+            metric.check_backend(backend, th)
+        with pytest.raises(cli.ConfigError) as front:
+            cli.build_inputs(doc)
+        assert str(lib.value) == str(front.value)
+        assert str(lib.value) == (
+            "unknown backend 'magic'; choose from ('gaussian', 'fock', "
+            "'column', 'ode')" if backend == "magic" else
+            "thermal ensemble loses weight 6.250e-02 to truncation at "
+            "mode_cutoffs (3,) (limit 1e-04); increase the mode cutoffs")
 
     def test_input_validation(self, fig_point):
         cfg, space = fig_point
