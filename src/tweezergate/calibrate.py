@@ -104,11 +104,6 @@ class PairStudy:
     fidelity: float
     report: metric.FidelityReport
 
-    def __post_init__(self):
-        object.__setattr__(self, "pair", tuple(int(i) for i in self.pair))
-        if self.pair not in PAIR_LABELS:
-            raise ValueError(f"pair must be one of {PAIR_LABELS}")
-
     @property
     def infidelity_x1e4(self) -> float:
         return (1.0 - self.fidelity) * 1.0e4
@@ -263,11 +258,16 @@ def _write_cached(path: str, payload: dict):
         raise
 
 
+def check_jobs(jobs: int):
+    """Raise ValueError unless at least one worker is asked for."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+
+
 def _run_points(tasks, jobs: int, cache_dir) -> list:
     """One SweepPoint per (spec, value) task, in task order, as run_sweep
     describes; the pool has min(jobs, uncached points) workers."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    check_jobs(jobs)
     points = [None] * len(tasks)
     paths = {}  # uncached task index -> cache path, or None without a cache
     for idx, (spec, value) in enumerate(tasks):
@@ -342,12 +342,21 @@ def default_four_ion_trap() -> crystal.TrapSpec:
     return crystal.TrapSpec(4, YB171_MASS_KG, DEFAULT_COM_FREQUENCY)
 
 
-def check_pair_study(trap: crystal.TrapSpec, cutoffs):
-    """Raise ValueError unless trap has four ions and cutoffs all modes."""
-    if trap.n_ions != 4:
+def check_pair_study(config: drive.GateConfig, cutoffs):
+    """Raise ValueError unless config's trap has four ions, cutoffs retain
+    all modes, and every config field with a default keeps it: the study
+    runs the default sequence at each pair's corrected drive frequency."""
+    if config.trap.n_ions != 4:
         raise ValueError("the pair study expects a four-ion crystal")
-    if len(cutoffs) != trap.n_ions:
+    if len(cutoffs) != config.trap.n_ions:
         raise ValueError("the pair study retains all four axial modes")
+    changed = [f.name for f in dataclasses.fields(config)
+               if f.default is not dataclasses.MISSING
+               and getattr(config, f.name) != f.default]
+    if changed:
+        raise ValueError(
+            f"the pair study runs the default sequence at each pair's "
+            f"corrected drive frequency; it cannot apply {', '.join(changed)}")
 
 
 def four_ion_table(tweezer_frequency: float, delta_base: float,
@@ -372,16 +381,17 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
     """
     if trap is None:
         trap = default_four_ion_trap()
-    check_pair_study(trap, cutoffs)
+    base = drive.GateConfig(trap=trap, pair=(0, 1),
+                            tweezer_frequency=tweezer_frequency,
+                            field_amplitude=field_amplitude,
+                            detuning=delta_base)
+    check_pair_study(base, cutoffs)
     specs = []
     for i, j in PAIR_LABELS:
         pair = (i - 1, j - 1)
         mu = corrected_drive_frequency(trap, pair, tweezer_frequency,
                                        delta_base)
-        cfg = drive.GateConfig(trap=trap, pair=pair,
-                               tweezer_frequency=tweezer_frequency,
-                               field_amplitude=field_amplitude,
-                               detuning=delta_base, drive_frequency=mu)
+        cfg = dataclasses.replace(base, pair=pair, drive_frequency=mu)
         specs.append(SweepSpec(axis="tweezer_frequency",
                                grid=(tweezer_frequency,), config=cfg,
                                cutoffs=cutoffs, nbar_com=nbar_com,

@@ -125,8 +125,8 @@ class RunInputs:
             detuning=TWO_PI * d["detuning_hz"],
             drive_frequency=None if mu is None else TWO_PI * mu,
             pulse_count=d["pulse_count"],
-            field_on_mask=tuple(d["field_on_mask"]),
-            echo_schedule=tuple(tuple(b) for b in d["echo_schedule"]),
+            field_on_mask=d["field_on_mask"],
+            echo_schedule=d["echo_schedule"],
             ramp_fraction=d["ramp_fraction"])
 
     def sweep_spec(self) -> calibrate.SweepSpec:
@@ -174,8 +174,7 @@ def build_inputs(doc: dict) -> RunInputs:
             crystal.normal_modes(trap).frequencies[:len(cutoffs)], cutoffs)
         backend = d["backend"]
         metric.check_backend(backend, thermal)
-        if int(d["samples_per_pulse"]) < 200:
-            raise ValueError("samples_per_pulse must be >= 200")
+        evolve.check_samples_per_pulse(int(d["samples_per_pulse"]))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
     return RunInputs(doc=d, trap=trap, pair0=pair0, space=space,
@@ -312,11 +311,11 @@ def cmd_sweep(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
 
 
 def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
-    d = inputs.doc
+    cfg = inputs.gate_config()
     table = calibrate.four_ion_table(
-        TWO_PI * d["tweezer_frequency_hz"], TWO_PI * d["detuning_hz"],
-        trap=inputs.trap, field_amplitude=d["field_amplitude_v_per_m"],
-        cutoffs=inputs.space.mode_cutoffs, nbar_com=d["nbar_com"],
+        cfg.tweezer_frequency, cfg.detuning, trap=inputs.trap,
+        field_amplitude=cfg.field_amplitude,
+        cutoffs=inputs.space.mode_cutoffs, nbar_com=inputs.doc["nbar_com"],
         backend=inputs.backend, jobs=jobs)
     h = inputs.config_hash()
     rows = [[f"({st.pair[0]},{st.pair[1]})", _fmt(st.infidelity_x1e4),
@@ -407,30 +406,31 @@ def main(argv=None) -> int:
         doc = load_document(args.config)
         inputs = build_inputs(doc)
         out_dir = args.out_dir or inputs.doc["out_dir"] or "."
-        if args.jobs is not None and args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        if args.jobs is not None and "jobs" not in reads:
-            raise ConfigError(f"--jobs applies only to {_READERS['jobs']}")
-        if args.tol is not None:
-            try:  # the library's tol rules, their messages naming the option
+        try:  # the library's option rules, their messages naming the option
+            if args.jobs is not None:
+                calibrate.check_jobs(args.jobs)
+                if "jobs" not in reads:
+                    raise ConfigError(
+                        f"--jobs applies only to {_READERS['jobs']}")
+            if args.tol is not None:
                 evolve._check_tol(args.tol)
                 if "tol" not in reads:
                     raise ConfigError(
                         f"--tol applies only to {_READERS['tol']}")
                 evolve._check_backend_tol(inputs.backend, args.tol)
-            except ValueError as exc:
-                raise ConfigError(f"--{exc}")
+        except ValueError as exc:
+            raise ConfigError(f"--{exc}")
         if args.command == "phasespace" and inputs.backend not in (
                 "gaussian", "ode"):
             raise ConfigError(f"phasespace has no {inputs.backend} "
                               "trajectory; use the gaussian or ode backend")
         # the library's physics checks of each command, before any file
         if args.command != "modes":
-            inputs.gate_config()
+            config = inputs.gate_config()
         if args.command == "sweep":
             inputs.sweep_spec()
         if args.command == "table4":
-            calibrate.check_pair_study(inputs.trap, inputs.space.mode_cutoffs)
+            calibrate.check_pair_study(config, inputs.space.mode_cutoffs)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

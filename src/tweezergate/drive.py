@@ -33,7 +33,8 @@ class GateConfig:
     detuning is signed (angular rad/s) and sets the pulse duration
     2 pi/|detuning|.  field_on_mask marks the pulses with the oscillating
     field active; echo_schedule lists, per pulse boundary, which qubits
-    (0 = first of pair, 1 = second) receive an instantaneous pi-pulse.
+    (0 = first of pair, 1 = second) receive an instantaneous pi-pulse;
+    each qubit must be flipped an even number of times, so the echo closes.
     ramp_fraction is the sin^2 rise (and fall) time as a fraction of the
     pulse duration, applied to the field envelope only.
     """
@@ -78,16 +79,17 @@ class GateConfig:
         for boundary in self.echo_schedule:
             if any(q not in (0, 1) for q in boundary):
                 raise ValueError("echo_schedule entries name qubits 0 and 1")
+        flips = tuple(sum(b.count(q) for b in self.echo_schedule)
+                      for q in (0, 1))
+        if any(n % 2 for n in flips):
+            raise ValueError(
+                f"echo does not close: pi-pulse counts per qubit {flips}")
         if not 0.0 <= self.ramp_fraction <= 0.25:
             raise ValueError("ramp_fraction must lie in [0, 0.25]")
 
     @property
     def pulse_duration(self) -> float:
         return 2.0 * math.pi / abs(self.detuning)
-
-    @property
-    def total_time(self) -> float:
-        return self.pulse_count * self.pulse_duration
 
     def record(self) -> dict:
         """The settings in report units (SI, JSON types), with the trap's

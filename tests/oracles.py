@@ -112,7 +112,7 @@ def pauli_labels():
     return tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
 
 
-def channel_from_propagator(u, config, thermal: hilbert.ThermalEnsemble,
+def channel_from_propagator(u, thermal: hilbert.ThermalEnsemble,
                             space: hilbert.SpaceSpec
                             ) -> metric.QuantumChannel:
     """Channel by literal partial trace of a composite-space propagator:
@@ -136,7 +136,4 @@ def channel_from_propagator(u, config, thermal: hilbert.ThermalEnsemble,
     # restriction of T to qubit-diagonal blocks; equals W when U is
     # qubit-diagonal
     w = np.array([[t[c, c, cp, cp] for cp in range(4)] for c in range(4)])
-    return metric.QuantumChannel(images=images, overlaps=w,
-                                 nbar=thermal.nbar,
-                                 cutoffs=space.mode_cutoffs, config=config,
-                                 backend="propagator")
+    return metric.QuantumChannel(images=images, overlaps=w)

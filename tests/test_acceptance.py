@@ -237,11 +237,10 @@ def _check_loop_suppression():
 
 
 def _unitary_channel(u):
-    cfg = gate_config()
     space = hilbert.SpaceSpec(2, (2,))
     th = hilbert.ThermalEnsemble((0.0,), (2,))
     full = np.kron(u, np.eye(3))
-    return oracles.channel_from_propagator(full, cfg, th, space)
+    return oracles.channel_from_propagator(full, th, space)
 
 
 def _check_fidelity_identities():

@@ -630,9 +630,6 @@ class TestFourIonTable:
             calibrate.four_ion_table(W_TW_TABLE, DELTA, trap=trap(2))
         with pytest.raises(ValueError, match="four"):
             calibrate.four_ion_table(W_TW_TABLE, DELTA, cutoffs=(14, 6))
-        with pytest.raises(ValueError, match="pair"):
-            calibrate.PairStudy(pair=(2, 4), drive_frequency=1.0,
-                                offset_hz=0.0, fidelity=1.0, report=None)
 
 
 class TestParameterRecord:
@@ -663,7 +660,7 @@ class TestParameterRecord:
             "drive_frequency": calibrate.DEFAULT_COM_FREQUENCY + 1.5 * DELTA,
             "pulse_count": 2,
             "field_on_mask": (True, False, False, False),
-            "echo_schedule": ((0,), (0,), (1,)),
+            "echo_schedule": ((0,), (0, 1), (1,)),
             "ramp_fraction": 0.02,
         }
         assert set(other) == {f.name for f in dataclasses.fields(base)}
@@ -681,7 +678,7 @@ class TestParameterRecord:
             changes = {name: value}
             if name == "pulse_count":
                 changes.update(field_on_mask=(True, True),
-                               echo_schedule=((0, 1),))
+                               echo_schedule=((),))
             key, snap = key_and_snapshot(dataclasses.replace(base, **changes))
             assert key != key0, name
             assert snap != snap0, name

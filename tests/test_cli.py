@@ -120,6 +120,12 @@ class TestBuildInputs:
         with pytest.raises(cli.ConfigError, match="the 2-ion crystal has 2"):
             cli.build_inputs(fig2_doc(mode_cutoffs=[4, 4, 4]))
 
+    def test_few_samples_per_pulse_rejected(self):
+        # evolve's own check, run before any command
+        with pytest.raises(cli.ConfigError,
+                           match="samples_per_pulse must be >= 200"):
+            cli.build_inputs(fig2_doc(samples_per_pulse=199))
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(cli.ConfigError, match="backend"):
             cli.build_inputs(fig2_doc(backend="magic"))
@@ -211,6 +217,16 @@ class TestConfigErrors:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gate", "phasespace"])
+    def test_open_echo_exits_2(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, fig2_doc(echo_schedule=[[0], [0], [0]]))
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", path, "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: echo does not close: pi-pulse counts per "
+                "qubit (3, 0)" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_physics_exits_2_for_gate(self, tmp_path, capsys):
         path = write_doc(tmp_path, fig2_doc(detuning_hz=0.0))
         rc = cli.main(["gate", "--config", path,
@@ -233,9 +249,11 @@ class TestConfigErrors:
         assert rc == 2
         assert "grid" in capsys.readouterr().err
 
-    def test_bad_jobs_and_tol_exit_2(self, tmp_path):
+    def test_bad_jobs_and_tol_exit_2(self, tmp_path, capsys):
         assert cli.main(["gate", "--config", "fig2", "--jobs", "0",
                          "--out-dir", str(tmp_path)]) == 2
+        assert ("config error: --jobs must be >= 1"
+                in capsys.readouterr().err)
         assert cli.main(["gate", "--config", "fig2", "--tol", "1e-3",
                          "--out-dir", str(tmp_path)]) == 2
 
@@ -524,6 +542,24 @@ class TestTable4:
         assert rc == 2
         assert (f"config error: the pair study {message}"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        dict(ramp_fraction=0.0), dict(ramp_fraction=0.1),
+        dict(pulse_count=2, field_on_mask=[True, True], echo_schedule=[[]]),
+        dict(drive_frequency_hz=999000.0)])
+    def test_settings_the_study_does_not_apply_exit_2(self, tmp_path, capsys,
+                                                      setting):
+        # the study runs the default sequence at each pair's corrected
+        # drive frequency; a document asking for anything else is refused
+        path = write_doc(tmp_path, dict(cli.load_document("table1"),
+                                        **setting))
+        out = tmp_path / "never"
+        rc = cli.main(["table4", "--config", path, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: the pair study runs the default sequence" in err
+        assert all(key.removesuffix("_hz") in err for key in setting)
         assert not out.exists()
 
 

@@ -71,7 +71,6 @@ class TestGateConfig:
         c = config()
         assert c.pulse_duration * abs(c.detuning) == pytest.approx(
             2 * np.pi, rel=1e-14)
-        assert c.total_time == pytest.approx(4 * c.pulse_duration)
 
     def test_defaults(self):
         c = config()
@@ -94,6 +93,24 @@ class TestGateConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=st.lists(st.lists(st.sampled_from((0, 1)), max_size=3),
+                             max_size=5))
+    def test_echo_schedule_accepted_exactly_when_it_closes(self, schedule):
+        # apply the pi-pulses to |00>: the echo closes when it returns there
+        state = [0, 0]
+        for boundary in schedule:
+            for q in boundary:
+                state[q] ^= 1
+        n = len(schedule) + 1
+        kw = dict(pulse_count=n, field_on_mask=(True,) * n,
+                  echo_schedule=schedule)
+        if state == [0, 0]:
+            assert config(**kw).echo_schedule == tuple(map(tuple, schedule))
+        else:
+            with pytest.raises(ValueError, match="echo does not close"):
+                config(**kw)
 
     def test_explicit_drive_frequency_wins(self):
         c = config(drive_frequency=W + 123.0)

@@ -229,11 +229,9 @@ class TestPropagator:
 
 class TestSchedule:
     def test_open_echo_rejected(self):
-        cfg = config(echo_schedule=((0,), (0,), (0,)))
-        space = hilbert.SpaceSpec(2, (2,))
-        for backend in ("gaussian", "ode"):
-            with pytest.raises(ValueError, match="echo does not close"):
-                run_gate(cfg, "01", (0,), space, backend=backend)
+        # GateConfig refuses the schedule, so no backend can run it
+        with pytest.raises(ValueError, match="echo does not close"):
+            config(echo_schedule=((0,), (0,), (0,)))
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -387,7 +385,8 @@ class TestRunGate:
         _, traj = run_gate(cfg, "01", (0,), space, backend="gaussian")
         assert len(traj.times) == 4 * 200 + 1
         assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(cfg.total_time)
+        assert traj.times[-1] == pytest.approx(cfg.pulse_count
+                                               * cfg.pulse_duration)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.qubit_state_label == "01"
         with pytest.raises(ValueError, match="200"):
