@@ -15,6 +15,7 @@ resume.  The four-ion study reproduces the per-pair corrected drive
 frequencies and infidelities of the full-crystal gate.
 """
 
+import atexit
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -264,9 +265,30 @@ def check_jobs(jobs: int):
         raise ValueError("jobs must be >= 1")
 
 
+_pool = None  # (workers, executor); starting one costs more than a point
+
+
+def _shared_pool(workers: int):
+    """The process's pool, rebuilt for another worker count or a dead worker."""
+    global _pool
+    if _pool is None or _pool[0] != workers or _pool[1]._broken:
+        _drop_pool()
+        _pool = (workers, concurrent.futures.ProcessPoolExecutor(workers))
+    return _pool[1]
+
+
+@atexit.register
+def _drop_pool():
+    """Shut the pool down: cancel what has not started, wait for the rest."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(cancel_futures=True)
+        _pool = None
+
+
 def _run_points(tasks, jobs: int, cache_dir) -> list:
     """One SweepPoint per (spec, value) task, in task order, as run_sweep
-    describes; the pool has min(jobs, uncached points) workers."""
+    describes; the shared pool has min(jobs, uncached points) workers."""
     check_jobs(jobs)
     points = [None] * len(tasks)
     paths = {}  # uncached task index -> cache path, or None without a cache
@@ -300,8 +322,8 @@ def _run_points(tasks, jobs: int, cache_dir) -> list:
 
     pending = [(idx, *tasks[idx]) for idx in paths]
     if jobs > 1 and len(pending) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))) as pool:
+        pool = _shared_pool(min(jobs, len(pending)))
+        try:
             futures = {pool.submit(_point_worker, args): args[0]
                        for args in pending}
             for fut in concurrent.futures.as_completed(futures):
@@ -311,6 +333,9 @@ def _run_points(tasks, jobs: int, cache_dir) -> list:
                     result = (futures[fut], None,
                               f"{type(exc).__name__}: {exc}")
                 finish(*result)
+        except BaseException:  # no point of this call runs in the next
+            _drop_pool()
+            raise
     else:
         for args in pending:
             finish(*_point_worker(args))
@@ -350,6 +375,9 @@ def check_pair_study(config: drive.GateConfig, cutoffs):
         raise ValueError("the pair study expects a four-ion crystal")
     if len(cutoffs) != config.trap.n_ions:
         raise ValueError("the pair study retains all four axial modes")
+    # a boundary flips a multiset of qubits, listed in any order
+    config = dataclasses.replace(config, echo_schedule=[
+        sorted(b) for b in config.echo_schedule])
     changed = [f.name for f in dataclasses.fields(config)
                if f.default is not dataclasses.MISSING
                and getattr(config, f.name) != f.default]
@@ -374,7 +402,7 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
     which moves qubit 0 to the other ion, does not.
 
     The pairs go through the sweeps' point runner: with jobs > 1 the
-    uncached pairs share one process pool of at most jobs workers, and
+    uncached pairs share the process's pool of at most jobs workers, and
     cache_dir caches them as in run_sweep.  A pair whose evaluation
     raised, or whose worker process died, raises RuntimeError naming the
     pair.

@@ -174,7 +174,7 @@ def build_inputs(doc: dict) -> RunInputs:
             crystal.normal_modes(trap).frequencies[:len(cutoffs)], cutoffs)
         backend = d["backend"]
         metric.check_backend(backend, thermal)
-        evolve.check_samples_per_pulse(int(d["samples_per_pulse"]))
+        evolve.check_samples_per_pulse(d["samples_per_pulse"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
     return RunInputs(doc=d, trap=trap, pair0=pair0, space=space,

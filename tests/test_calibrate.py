@@ -6,6 +6,9 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 
@@ -36,6 +39,35 @@ def config(**kw):
                 field_amplitude=2.69e-4, detuning=DELTA)
     base.update(kw)
     return drive.GateConfig(**base)
+
+
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="the patched point reaches forked "
+                                      "workers only")
+
+
+@pytest.fixture
+def fresh_pool():
+    """Drop the process's shared worker pool before and after a test that
+    patches what the pool runs or builds: workers see a patch only when
+    forked after it, and a pool built under a patch must not outlive it."""
+    calibrate._drop_pool()
+    yield
+    calibrate._drop_pool()
+
+
+def record_pools(monkeypatch, base=concurrent.futures.ThreadPoolExecutor):
+    """Build pools from a subclass of base that records each pool's worker
+    count; the returned list grows by one per pool built."""
+    sizes = []
+
+    class Recording(base):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
 
 
 class TestFieldForGateCondition:
@@ -416,9 +448,8 @@ class TestRunSweep:
         assert [p.report.as_dict() for p in serial] == \
                [p.report.as_dict() for p in parallel]
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched point reaches forked workers "
-                               "only")
+    @FORK_ONLY
+    @pytest.mark.usefixtures("fresh_pool")
     def test_crashed_worker_gives_errors(self, tmp_path, monkeypatch):
         # a worker process that dies breaks the pool; the points without a
         # result get errors, the finished ones keep reports and cache
@@ -454,19 +485,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="jobs"):
             calibrate.run_sweep(spec, jobs=0)
 
+    @pytest.mark.usefixtures("fresh_pool")
     def test_pool_no_larger_than_pending_points(self, tmp_path,
                                                 monkeypatch):
         # under fork every worker starts at the first submit, so the pool
         # is sized by the points left to run, cached ones not counted
-        sizes = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recording)
+        sizes = record_pools(monkeypatch)
         spec = calibrate.SweepSpec(
             axis="tweezer_frequency",
             grid=tuple(r * calibrate.DEFAULT_COM_FREQUENCY
@@ -491,6 +515,123 @@ class TestRunSweep:
             0.12 * calibrate.DEFAULT_COM_FREQUENCY)
         assert cross[0.999] is not None
         assert cross[0.99999] is None
+
+
+class TestSharedPool:
+    """Pooled calls in one process share one worker pool."""
+
+    @staticmethod
+    def spec(*ratios):
+        return calibrate.SweepSpec(
+            axis="tweezer_frequency",
+            grid=tuple(r * calibrate.DEFAULT_COM_FREQUENCY for r in ratios),
+            config=config(), cutoffs=(10,))
+
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_calls_reuse_one_pool(self, monkeypatch):
+        sizes = record_pools(monkeypatch)
+        spec = self.spec(0.18, 0.20, 0.22)
+        first = calibrate.run_sweep(spec, jobs=2)
+        again = calibrate.run_sweep(spec, jobs=2)
+        table = calibrate.four_ion_table(W_TW_TABLE, DELTA,
+                                         backend="gaussian", jobs=2)
+        assert sizes == [2]
+        assert all(p.ok for p in first) and len(table) == 4
+        assert [p.report.as_dict() for p in again] == \
+               [p.report.as_dict() for p in first]
+
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_other_worker_count_builds_a_new_pool(self, monkeypatch):
+        sizes = record_pools(monkeypatch)
+        spec = self.spec(0.18, 0.20, 0.22)
+        for jobs in (2, 3, 3, 2):
+            assert all(p.ok for p in calibrate.run_sweep(spec, jobs=jobs))
+        assert sizes == [2, 3, 2]
+
+    @FORK_ONLY
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_new_pool_after_a_crashed_worker(self, monkeypatch):
+        spec = self.spec(0.18, 0.20, 0.22, 0.24)
+        real = calibrate._evaluate_point
+
+        def crash_last(spec_, value):
+            if value == spec.grid[-1]:
+                os._exit(1)
+            return real(spec_, value)
+
+        monkeypatch.setattr(calibrate, "_evaluate_point", crash_last)
+        sizes = record_pools(monkeypatch,
+                             concurrent.futures.ProcessPoolExecutor)
+        assert not calibrate.run_sweep(spec, jobs=2)[-1].ok
+        monkeypatch.setattr(calibrate, "_evaluate_point", real)
+        pts = calibrate.run_sweep(spec, jobs=2)
+        assert sizes == [2, 2]
+        assert [p.report.as_dict() for p in pts] == \
+               [p.report.as_dict() for p in calibrate.run_sweep(spec)]
+
+    @FORK_ONLY
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_interrupted_call_leaves_no_point_to_the_next(self, tmp_path,
+                                                          monkeypatch):
+        # an interrupt in the parent (here from the cache write) ends the
+        # call; none of its points may run during the next call
+        log = tmp_path / "evaluated"
+        real = calibrate._evaluate_point
+
+        def logged(spec_, value):
+            time.sleep(0.05)  # leave points queued when the interrupt comes
+            with open(log, "a") as fh:
+                fh.write(f"{value!r}\n")
+            return real(spec_, value)
+
+        def interrupt(path, payload):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(calibrate, "_evaluate_point", logged)
+        monkeypatch.setattr(calibrate, "_write_cached", interrupt)
+        first = self.spec(*(0.10 + 0.01 * k for k in range(8)))
+        with pytest.raises(KeyboardInterrupt):
+            calibrate.run_sweep(first, jobs=2, cache_dir=str(tmp_path / "c"))
+        done = len(log.read_text().split())
+        spec = self.spec(0.21, 0.23, 0.25)
+        pts = calibrate.run_sweep(spec, jobs=2)
+        late = [float(v) for v in log.read_text().split()[done:]]
+        assert sorted(late) == sorted(spec.grid)
+        assert [p.report.as_dict() for p in pts] == \
+               [p.report.as_dict() for p in calibrate.run_sweep(spec)]
+
+    def test_pooled_session_exits_cleanly(self, tmp_path):
+        # a test session that pools through the CLI, the shape in which an
+        # executor left to interpreter teardown printed "Exception ignored
+        # in ... weakref_cb": the pool is shut down at exit, quietly, and no
+        # worker is left running
+        test = tmp_path / "test_pooled.py"
+        test.write_text(textwrap.dedent("""
+            import multiprocessing
+            from tweezergate import cli
+
+            def test_sweep(tmp_path):
+                assert cli.main(["sweep", "--config", "fig3_delta1kHz",
+                                 "--out-dir", str(tmp_path),
+                                 "--jobs", "2"]) == 0
+                print("workers", *[p.pid for p in
+                                   multiprocessing.active_children()])
+            """))
+        src = os.path.dirname(os.path.dirname(calibrate.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-s", "-p",
+             "no:cacheprovider", str(test)], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stderr == ""
+        line = next(x for x in proc.stdout.splitlines()
+                    if x.startswith("workers"))
+        pids = [int(p) for p in line.split()[1:]]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestFourIonTable:
@@ -584,9 +725,8 @@ class TestFourIonTable:
         b = report((n - 1 - j, n - 1 - i))
         assert abs(a.fidelity - b.fidelity) < 1e-9
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched point reaches forked workers "
-                               "only")
+    @FORK_ONLY
+    @pytest.mark.usefixtures("fresh_pool")
     def test_crashed_worker_names_the_pair(self, monkeypatch):
         real = calibrate._evaluate_point
 
@@ -601,16 +741,9 @@ class TestFourIonTable:
             calibrate.four_ion_table(W_TW_TABLE, DELTA, backend="gaussian",
                                      jobs=2)
 
+    @pytest.mark.usefixtures("fresh_pool")
     def test_cached_pairs_start_no_pool(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recording)
+        sizes = record_pools(monkeypatch)
         cache = str(tmp_path / "cache")
         first = calibrate.four_ion_table(W_TW_TABLE, DELTA,
                                          backend="gaussian", jobs=3,

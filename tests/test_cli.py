@@ -126,6 +126,16 @@ class TestBuildInputs:
                            match="samples_per_pulse must be >= 200"):
             cli.build_inputs(fig2_doc(samples_per_pulse=199))
 
+    def test_fractional_samples_per_pulse_exits_2(self, tmp_path, capsys):
+        # a fractional count would bend phasespace's time grid
+        path = write_doc(tmp_path, fig2_doc(samples_per_pulse=250.5))
+        out = tmp_path / "never"
+        rc = cli.main(["phasespace", "--config", path, "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: samples_per_pulse must be a whole number"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(cli.ConfigError, match="backend"):
             cli.build_inputs(fig2_doc(backend="magic"))
@@ -561,6 +571,18 @@ class TestTable4:
         assert "config error: the pair study runs the default sequence" in err
         assert all(key.removesuffix("_hz") in err for key in setting)
         assert not out.exists()
+
+    def test_boundary_listing_order_does_not_matter(self, tmp_path):
+        # a boundary flips a set of qubits: [1, 0] is the default [0, 1]
+        path = write_doc(tmp_path, dict(cli.load_document("table1"),
+                                        echo_schedule=[[1, 0], [0], [1]]))
+        rows = []
+        for config in ("table1", path):
+            out = tmp_path / f"out{len(rows)}"
+            assert cli.main(["table4", "--config", config,
+                             "--out-dir", str(out)]) == 0
+            rows.append(read_csv(out / "table4.csv")[1])
+        assert rows[1] == rows[0]
 
 
 class TestNumericalFailure:

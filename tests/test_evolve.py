@@ -391,6 +391,8 @@ class TestRunGate:
         assert traj.qubit_state_label == "01"
         with pytest.raises(ValueError, match="200"):
             run_gate(cfg, "01", (0,), space, samples_per_pulse=100)
+        with pytest.raises(ValueError, match="whole number"):
+            run_gate(cfg, "01", (0,), space, samples_per_pulse=250.5)
 
     def test_csv_export(self, tmp_path):
         cfg = config()
