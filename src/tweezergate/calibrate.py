@@ -184,8 +184,8 @@ def corrected_drive_frequency(trap: crystal.TrapSpec, pair,
 # backend integrates the four qubit configurations as one stacked system.
 # 3: the column backend composes per-mode factors. 4: per-dressed-mode phase.
 # 5: fock runs on the per-mode factors; the ODE reference comes from the
-# compiled Hamiltonian.
-ENGINE_VERSION = 5
+# compiled Hamiltonian. 6: the fidelity is read from the overlap matrix W.
+ENGINE_VERSION = 6
 
 
 def config_hash(config: drive.GateConfig, nbar, cutoffs,

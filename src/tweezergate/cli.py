@@ -42,12 +42,13 @@ SWEEP_AXES = {
     "field_amplitude_v_per_m": ("field_amplitude", 1.0),
 }
 
+# GateConfig's sequence defaults under its field names, as JSON values
 _DEFAULTS = {
     "drive_frequency_hz": None,
-    "pulse_count": 4,
-    "field_on_mask": [True, False, False, True],
-    "echo_schedule": [[0, 1], [0], [1]],
-    "ramp_fraction": 0.016,
+    **json.loads(json.dumps({
+        f.name: f.default for f in dataclasses.fields(drive.GateConfig)
+        if f.name in ("pulse_count", "field_on_mask", "echo_schedule",
+                      "ramp_fraction")})),
     "nbar_com": 0.0,
     "backend": "gaussian",
     "samples_per_pulse": 200,

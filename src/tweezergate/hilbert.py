@@ -15,8 +15,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 # sigma_z|1> = +|1> with basis order (|0>, |1>)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 

@@ -1,18 +1,15 @@
 """Gate quality metrics: channel reconstruction and fidelity.
 
-The echoed gate acts on the two addressed qubits; the motion is traced
-out after the sequence.  A channel is represented by the images of the
-16 two-qubit Pauli operators (lexicographic {1, x, y, z} x {1, x, y, z},
-first factor = first qubit of the pair), one read-only 16 x 4 x 4 stack.
-For the qubit-diagonal evolution of this gate the stack is the Pauli
-stack times a single 4x4 overlap matrix W[c, c'] = <U_c'^dag U_c>_thermal
-elementwise, which the backends in _exact compute.
-
-Average process fidelity follows the standard two-qubit formula
+The echoed gate acts on the two addressed qubits and only adds
+configuration-dependent phases and displacements; the motion is traced
+out after the sequence.  So the gate is diagonal in the qubit basis, and
+its thermal channel is fixed by the 4x4 overlap matrix
+W[c, c'] = <U_c'^dag U_c>_thermal that the backends in _exact compute.
+Average process fidelity is the standard two-qubit formula
 F = (sum_l tr[U sigma_l^dag U^dag E(sigma_l)] + d^2) / (d^2 (d + 1))
-with d = 4, as one contraction of the Pauli stack with the image stack.
-The reference gate is built from the same per-pulse dressed-mode phase
-accumulation the exact engine uses, with the global phase removed.
+with d = 4, read off W.  The reference gate is built from the same
+per-pulse dressed-mode phase accumulation the exact engine uses, with the
+global phase removed.
 """
 
 import cmath
@@ -26,11 +23,6 @@ from . import drive
 from . import evolve
 from . import hilbert
 
-_SIGMA_1 = (np.eye(2, dtype=complex), hilbert.SIGMA_X, hilbert.SIGMA_Y,
-            hilbert.SIGMA_Z)
-_PAULI_STACK = np.array([np.kron(a, b) for a in _SIGMA_1 for b in _SIGMA_1])
-_PAULI_STACK.flags.writeable = False
-
 BACKENDS = ("gaussian", "fock", "column", "ode")
 # backends that sum over the truncated Fock states, and the thermal weight
 # they may lose beyond the cutoffs
@@ -40,46 +32,32 @@ TAIL_LIMIT = 1e-4
 
 @dataclasses.dataclass(frozen=True)
 class QuantumChannel:
-    """Two-qubit channel as Pauli images.
+    """Two-qubit channel of the qubit-diagonal gate: E(rho) = W * rho.
 
-    images is the read-only 16 x 4 x 4 stack of E(sigma_l); overlaps is
-    the 4x4 matrix W[c, c'] = <U_c'^dag U_c> over the thermal ensemble
-    (qubit configurations ordered 00, 01, 10, 11); for the qubit-diagonal
-    gate evolution images[l] = sigma_l * W elementwise.
+    overlaps is the read-only 4x4 matrix W[c, c'] = <U_c'^dag U_c> over
+    the thermal ensemble (qubit configurations ordered 00, 01, 10, 11).
+    The Choi matrix sum_cc' W[c, c'] |cc><c'c'| has the nonzero spectrum
+    of W, so complete positivity is W >= 0; trace preservation is tr W = 4.
     """
 
-    images: np.ndarray
     overlaps: np.ndarray
 
     def __post_init__(self):
-        imgs = np.array(self.images, dtype=complex)
-        if imgs.shape != (16, 4, 4):
-            raise ValueError("a channel needs 16 images of shape 4x4")
-        imgs.flags.writeable = False
-        object.__setattr__(self, "images", imgs)
-        object.__setattr__(self, "overlaps",
-                           np.asarray(self.overlaps, dtype=complex))
-        if self.overlaps.shape != (4, 4):
+        w = np.array(self.overlaps, dtype=complex)
+        if w.shape != (4, 4):
             raise ValueError("overlaps must be 4x4")
-        tr = complex(np.trace(imgs[0]))
+        w.flags.writeable = False
+        object.__setattr__(self, "overlaps", w)
+        if np.max(np.abs(w - w.conj().T)) > 1e-6:
+            raise ValueError("overlaps must be Hermitian")
+        tr = complex(np.trace(w))
         if abs(tr - 4.0) > 1e-6:
-            raise ValueError(f"identity image has trace {tr:.8f}, "
+            raise ValueError(f"overlaps have trace {tr:.8f}, "
                              "expected 4 (trace preservation)")
-        lo = float(np.linalg.eigvalsh(self.choi_matrix())[0])
+        lo = float(np.linalg.eigvalsh(w)[0])
         if lo < -1e-6:
             raise ValueError(f"channel is not completely positive: smallest "
-                             f"Choi eigenvalue {lo:.3e}")
-
-    def choi_matrix(self) -> np.ndarray:
-        """16x16 Choi matrix sum_ij E(|i><j|) kron |i><j|.
-
-        Positive semidefinite within tolerance for a physical channel and
-        rank one exactly when the channel is unitary on the qubits.
-        """
-        # E(|i><j|) = sum_l conj(sigma_l[i, j]) E(sigma_l) / 4 is the
-        # block at rows 4a + i, columns 4b + j
-        choi = np.einsum("lij,lab->aibj", np.conj(_PAULI_STACK), self.images)
-        return choi.reshape(16, 16) / 4.0
+                             f"eigenvalue of the overlaps {lo:.3e}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,7 +197,7 @@ def _channel(setup, thermal, space, backend, tol):
     else:  # "ode", the one other name check_backend lets through
         w, _ = _exact.ode_wmat(setup, space.mode_dims, thermal.weights(),
                                tol=tol)
-    return QuantumChannel(images=_PAULI_STACK * w, overlaps=w)
+    return QuantumChannel(w)
 
 
 def ideal_gate(config: drive.GateConfig, modes) -> IdealGate:
@@ -286,19 +264,22 @@ def local_invariants(gate):
 
 
 def process_fidelity(channel: QuantumChannel, ideal) -> float:
-    """Average gate fidelity of a channel against a reference unitary:
-    F = (sum_l tr[U sigma_l^dag U^dag E(sigma_l)] + 16) / 80."""
+    """Average gate fidelity of a channel against a diagonal reference
+    unitary U = diag(u): F = (u^dag W u / 4 + 1) / 5.  A reference with
+    off-diagonal entries raises; it is never projected onto its diagonal."""
     u = ideal.matrix if isinstance(ideal, IdealGate) else np.asarray(
         ideal, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError("reference gate must be a 4x4 matrix")
     if np.max(np.abs(u @ u.conj().T - np.eye(4))) > 1e-8:
         raise ValueError("reference gate must be unitary")
-    tot = np.vdot(_PAULI_STACK, u.conj().T @ channel.images @ u)
-    if abs(tot.imag) > 1e-8:
-        raise ValueError("fidelity sum acquired an imaginary part; "
-                         "channel images are inconsistent")
-    return float((tot.real + 16.0) / 80.0)
+    d = np.diag(u)
+    if np.max(np.abs(u - np.diag(d))) > 1e-12:
+        raise ValueError("reference gate must be diagonal in the qubit "
+                         "basis")
+    # an elementwise sum is more often exactly rounded than u* @ W @ u
+    return float((np.sum(np.outer(d.conj(), d) * channel.overlaps).real
+                  / 4.0 + 1.0) / 5.0)
 
 
 def _parameter_snapshot(config: drive.GateConfig, setup, nbar, cutoffs,

@@ -2,7 +2,9 @@
 against: ladder operators and basis states on the composite space, the
 axial Hessian, the perturbative tweezer-shifted spectrum, a plain DOP853
 propagation of an explicit H(t), the two-qubit Pauli basis, and the
-channel of a composite-space propagator by literal partial trace.
+channel in its general Pauli-image form: the images of a composite-space
+propagator by literal partial trace, the 16-term fidelity sum over them
+and their Choi matrix.
 """
 import numpy as np
 import scipy.sparse as sp
@@ -10,8 +12,9 @@ import scipy.sparse as sp
 from tweezergate import evolve, hilbert, metric
 
 _PAULI_ORDER = ("1", "x", "y", "z")
-_SIGMA_1 = (np.eye(2, dtype=complex), hilbert.SIGMA_X, hilbert.SIGMA_Y,
-            hilbert.SIGMA_Z)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_SIGMA_1 = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, hilbert.SIGMA_Z)
 
 
 def ladder_operators(cutoff: int):
@@ -112,15 +115,10 @@ def pauli_labels():
     return tuple(a + b for a in _PAULI_ORDER for b in _PAULI_ORDER)
 
 
-def channel_from_propagator(u, thermal: hilbert.ThermalEnsemble,
-                            space: hilbert.SpaceSpec
-                            ) -> metric.QuantumChannel:
-    """Channel by literal partial trace of a composite-space propagator:
-    E(sigma_l) = sum_n p_n tr_mot(U [sigma_l kron |n><n|] U^dag).
-
-    Independent of any structure in U; the reconstruction backends must
-    reproduce it whenever U is the gate propagator.
-    """
+def _partial_trace(u, thermal: hilbert.ThermalEnsemble,
+                   space: hilbert.SpaceSpec) -> np.ndarray:
+    """T[c, q, c', q'] = sum_n p_n tr_mot(U(|c><c'| kron |n><n|)U^dag)[q, q']
+    of a composite-space propagator."""
     if space.n_qubits != 2:
         raise ValueError("channel reconstruction needs a two-qubit space")
     if tuple(thermal.cutoffs) != space.mode_cutoffs:
@@ -130,10 +128,54 @@ def channel_from_propagator(u, thermal: hilbert.ThermalEnsemble,
         raise ValueError("propagator does not match the space dimension")
     p = thermal.weights()
     v = u.reshape(4, space.mode_dim, 4, space.mode_dim)
-    # T[c, q, c', q'] = sum_n p_n tr_mot(U(|c><c'| kron |n><n|)U^dag)[q, q']
-    t = np.einsum("qmcf,rmdf,f->cqdr", v, np.conj(v), p, optimize=True)
-    images = np.einsum("lcd,cqdr->lqr", paulis16(), t)
-    # restriction of T to qubit-diagonal blocks; equals W when U is
-    # qubit-diagonal
-    w = np.array([[t[c, c, cp, cp] for cp in range(4)] for c in range(4)])
-    return metric.QuantumChannel(images=images, overlaps=w)
+    return np.einsum("qmcf,rmdf,f->cqdr", v, np.conj(v), p, optimize=True)
+
+
+def propagator_images(u, thermal: hilbert.ThermalEnsemble,
+                      space: hilbert.SpaceSpec) -> np.ndarray:
+    """The 16 Pauli images E(sigma_l) = sum_n p_n tr_mot(U [sigma_l kron
+    |n><n|] U^dag) of any composite-space propagator, by literal partial
+    trace."""
+    return np.einsum("lcd,cqdr->lqr", paulis16(),
+                     _partial_trace(u, thermal, space))
+
+
+def channel_from_propagator(u, thermal: hilbert.ThermalEnsemble,
+                            space: hilbert.SpaceSpec
+                            ) -> metric.QuantumChannel:
+    """Channel of a qubit-diagonal composite-space propagator by literal
+    partial trace: W[c, c'] = sum_n p_n tr_mot(U(|c><c'| kron |n><n|)
+    U^dag)[c, c'].
+
+    Independent of any structure in the blocks U_c; the reconstruction
+    backends must reproduce it whenever U is the gate propagator.  A
+    propagator that mixes qubit configurations raises, since its channel
+    is not of the form W * rho (propagator_images covers that case).
+    """
+    t = _partial_trace(u, thermal, space)
+    v = np.asarray(u).reshape(4, space.mode_dim, 4, space.mode_dim)
+    if any(np.max(np.abs(v[c, :, cp])) > 1e-12
+           for c in range(4) for cp in range(4) if c != cp):
+        raise ValueError("propagator is not qubit-diagonal")
+    return metric.QuantumChannel(
+        [[t[c, c, cp, cp] for cp in range(4)] for c in range(4)])
+
+
+def pauli_fidelity(images, u) -> float:
+    """Average gate fidelity of the channel sigma_l -> images[l] against
+    the unitary u, the 16-term sum
+    F = (sum_l tr[U sigma_l^dag U^dag E(sigma_l)] + 16) / 80."""
+    u = np.asarray(u, dtype=complex)
+    tot = sum(np.trace(u @ sig.conj().T @ u.conj().T @ img)
+              for sig, img in zip(paulis16(), images))
+    return float((tot.real + 16.0) / 80.0)
+
+
+def choi_matrix(images) -> np.ndarray:
+    """16x16 Choi matrix sum_ij E(|i><j|) kron |i><j| of the channel
+    sigma_l -> images[l]: positive semidefinite for a completely positive
+    channel, rank one exactly when it is unitary on the qubits."""
+    # E(|i><j|) = sum_l conj(sigma_l[i, j]) E(sigma_l) / 4 is the block at
+    # rows 4a + i, columns 4b + j
+    choi = np.einsum("lij,lab->aibj", np.conj(paulis16()), images)
+    return choi.reshape(16, 16) / 4.0

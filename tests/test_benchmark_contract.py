@@ -1,14 +1,17 @@
 """The benchmark reaches into the package by name: every function that
-perfbench/tracing.py wraps must exist, and every call that
+perfbench/tracing.py wraps must exist, every call that
 perfbench/workloads.py makes into the package must bind to the callee's
-current signature, so that a rename fails here and not only in a
-benchmark run."""
+current signature, and every result attribute it reads must exist on the
+result's class, so that a rename fails here and not only in a benchmark
+run."""
 
 import ast
 import collections
+import dataclasses
 import importlib
 import inspect
 import os
+import re
 
 import pytest
 
@@ -80,3 +83,28 @@ def test_workload_calls_bind(callee):
         except TypeError as exc:
             pytest.fail(f"workloads.py:{line} calls {callee}{sig} with "
                         f"{n_pos} positional and {keywords}: {exc}")
+
+
+# (module, class, attribute) of each result attribute workloads.py reads
+RESULT_ATTRIBUTES = [
+    ("metric", "QuantumChannel", "overlaps"),
+    ("metric", "FidelityReport", "fidelity"),
+    ("calibrate", "SweepPoint", "ok"),
+    ("calibrate", "SweepPoint", "error"),
+    ("calibrate", "SweepPoint", "report"),
+    ("calibrate", "PairStudy", "pair"),
+    ("calibrate", "PairStudy", "infidelity_x1e4"),
+    ("calibrate", "PairStudy", "offset_hz"),
+]
+
+
+@pytest.mark.parametrize("module,cls,attr", RESULT_ATTRIBUTES)
+def test_result_attribute_exists(module, cls, attr):
+    with open(WORKLOADS) as fh:
+        assert re.search(rf"\.{attr}\b", fh.read()), \
+            f"workloads.py no longer reads .{attr}; drop it from the list"
+    klass = getattr(importlib.import_module(f"tweezergate.{module}"), cls)
+    # a dataclass field without a default is no class attribute
+    names = {f.name for f in dataclasses.fields(klass)} | set(dir(klass))
+    assert attr in names, \
+        f"workloads.py reads {cls}.{attr}, which is missing"

@@ -5,6 +5,7 @@ monkeypatched failures are all observable without spawning subprocesses.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from tweezergate import cli, crystal
+from tweezergate import cli, crystal, drive
 
 
 def fig2_doc(**overrides):
@@ -79,6 +80,19 @@ class TestResolveDocument:
         assert out["field_on_mask"] == [True, False, False, True]
         assert out["backend"] == "gaussian"
         assert out["nbar_com"] == 0.0
+
+    def test_sequence_defaults_are_gate_config_defaults(self):
+        # a document without sequence keys runs the library's default gate
+        out = cli.resolve_document(fig2_doc())
+        for f in dataclasses.fields(drive.GateConfig):
+            if f.name in ("pulse_count", "field_on_mask", "echo_schedule",
+                          "ramp_fraction"):
+                assert json.dumps(out[f.name]) == json.dumps(f.default)
+        cfg = cli.build_inputs(fig2_doc()).gate_config()
+        assert cfg == drive.GateConfig(
+            trap=cfg.trap, pair=cfg.pair,
+            tweezer_frequency=cfg.tweezer_frequency,
+            field_amplitude=cfg.field_amplitude, detuning=cfg.detuning)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown config keys"):

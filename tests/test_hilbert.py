@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import ladder_operators, mode_number_diagonals, qubit_basis_state
+from oracles import (SIGMA_Y, ladder_operators, mode_number_diagonals,
+                     qubit_basis_state)
 from tweezergate import hilbert
 from tweezergate.hilbert import (
     SpaceSpec,
@@ -175,7 +176,7 @@ class TestEmbed:
     def test_disjoint_factors_commute(self):
         space = SpaceSpec(2, (3, 2))
         rng = np.random.default_rng(7)
-        za = embed(hilbert.SIGMA_Y, ("qubit", 0), space)
+        za = embed(SIGMA_Y, ("qubit", 0), space)
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = h + h.conj().T
         zb = embed(h, ("mode", 0), space)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
@@ -41,12 +42,23 @@ def random_unitary(dim, seed):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_diagonal_unitary(seed):
+    rng = np.random.default_rng(seed)
+    return np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4)))
+
+
+def unitary_images(u):
+    """Pauli images sigma -> U sigma U^dag of any unitary on the qubits
+    alone."""
+    return np.array([u @ sig @ u.conj().T for sig in oracles.paulis16()])
+
+
 def unitary_channel(u):
-    """Channel sigma -> U sigma U^dag on the qubits alone."""
-    images = tuple(u @ sig @ u.conj().T for sig in oracles.paulis16())
-    d = np.diag(u) if np.allclose(u, np.diag(np.diag(u))) else np.ones(4)
-    return metric.QuantumChannel(images=images,
-                                 overlaps=np.outer(d, np.conj(d)))
+    """Channel rho -> U rho U^dag of a diagonal unitary on the qubits
+    alone: W = u u^dag."""
+    d = np.diag(u)
+    assert np.array_equal(u, np.diag(d)), "W holds diagonal gates only"
+    return metric.QuantumChannel(np.outer(d, np.conj(d)))
 
 
 def column_u_rel(gens, ladders, psi0):
@@ -242,12 +254,15 @@ class TestIdealGate:
 
 
 class TestProcessFidelity:
+    # the W formula on diagonal gates; the 16-term oracle on any unitary
     @pytest.mark.parametrize("seed", range(6))
     def test_self_fidelity_is_one(self, seed):
+        d = random_diagonal_unitary(seed)
+        assert metric.process_fidelity(unitary_channel(d), d) == \
+            pytest.approx(1.0, abs=1e-9)
         u = random_unitary(4, seed)
-        ch = unitary_channel(u)
-        assert metric.process_fidelity(ch, u) == pytest.approx(1.0,
-                                                               abs=1e-9)
+        assert oracles.pauli_fidelity(unitary_images(u), u) == \
+            pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_gate_scores_one_fifth(self, fig_point):
         cfg, space = fig_point
@@ -261,12 +276,17 @@ class TestProcessFidelity:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_trace_overlap_formula(self, seed):
         # for unitary channels F = (|tr(V^dag U)|^2 + 4) / 20
+        def want(u, v):
+            return (abs(np.trace(v.conj().T @ u)) ** 2 + 4.0) / 20.0
+
         u = random_unitary(4, 2 * seed)
         v = random_unitary(4, 2 * seed + 1)
-        ch = unitary_channel(u)
-        want = (abs(np.trace(v.conj().T @ u)) ** 2 + 4.0) / 20.0
-        assert metric.process_fidelity(ch, v) == pytest.approx(want,
-                                                               abs=1e-12)
+        assert oracles.pauli_fidelity(unitary_images(u), v) == \
+            pytest.approx(want(u, v), abs=1e-12)
+        u = random_diagonal_unitary(2 * seed)
+        v = random_diagonal_unitary(2 * seed + 1)
+        assert metric.process_fidelity(unitary_channel(u), v) == \
+            pytest.approx(want(u, v), abs=1e-12)
 
     def test_global_phase_invariance(self, fig_channel, fig_point):
         cfg, space = fig_point
@@ -280,81 +300,105 @@ class TestProcessFidelity:
         with pytest.raises(ValueError, match="unitary"):
             metric.process_fidelity(fig_channel, np.zeros((4, 4)))
 
-    @staticmethod
-    def explicit_sum(channel, u):
-        """F from the 16 trace terms one by one."""
-        tot = sum(np.trace(u @ sig.conj().T @ u.conj().T @ img)
-                  for sig, img in zip(oracles.paulis16(), channel.images))
-        return (tot.real + 16.0) / 80.0
+    @pytest.mark.parametrize("angle", [0.5, 1e-9])
+    def test_rejects_nondiagonal_reference(self, fig_channel, angle):
+        # never projected onto its diagonal, however small the rest
+        c, s = math.cos(angle), math.sin(angle)
+        v = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+        with pytest.raises(ValueError, match="diagonal"):
+            metric.process_fidelity(fig_channel, v)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_explicit_sum_on_unitary_channels(self, seed):
-        ch = unitary_channel(random_unitary(4, 10 + seed))
-        v = random_unitary(4, 20 + seed)
-        assert abs(np.diag(v)).max() < 1.0  # not diagonal
-        assert abs(metric.process_fidelity(ch, v)
-                   - self.explicit_sum(ch, v)) < 1e-14
+        u = random_diagonal_unitary(10 + seed)
+        v = random_diagonal_unitary(20 + seed)
+        assert abs(metric.process_fidelity(unitary_channel(u), v)
+                   - oracles.pauli_fidelity(unitary_images(u), v)) < 1e-14
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_explicit_sum_on_propagator_channels(self, seed):
-        # literal partial trace of a random composite unitary: images
-        # that are not Pauli-times-W
+        # literal partial trace of a random qubit-diagonal composite
+        # unitary over a thermal ensemble: a mixed channel, not rank one
         space = hilbert.SpaceSpec(2, (4,))
         th = hilbert.ThermalEnsemble((0.05,), (4,))
-        ch = oracles.channel_from_propagator(
-            random_unitary(space.dim, 30 + seed), th, space)
-        for v in (random_unitary(4, 40 + seed), np.eye(4)):
+        u = scipy.linalg.block_diag(*(
+            random_unitary(space.mode_dim, 30 + 4 * seed + c)
+            for c in range(4)))
+        ch = oracles.channel_from_propagator(u, th, space)
+        assert np.linalg.eigvalsh(ch.overlaps)[-2] > 1e-3
+        images = oracles.propagator_images(u, th, space)
+        for v in (random_diagonal_unitary(40 + seed), np.eye(4)):
             assert abs(metric.process_fidelity(ch, v)
-                       - self.explicit_sum(ch, v)) < 1e-14
+                       - oracles.pauli_fidelity(images, v)) < 1e-14
 
 
 class TestQuantumChannel:
+    @staticmethod
+    def choi_spectrum(w):
+        """Eigenvalues of the oracle Choi matrix of the channel W * rho."""
+        return np.linalg.eigvalsh(oracles.choi_matrix(oracles.paulis16()
+                                                      * w))
+
     def test_identity_channel_choi(self):
         ch = unitary_channel(np.eye(4, dtype=complex))
-        choi = ch.choi_matrix()
+        np.testing.assert_array_equal(ch.overlaps, np.ones((4, 4)))
         omega = np.zeros((16, 1), dtype=complex)
         for i in range(4):
             omega[i * 4 + i] = 1.0
-        np.testing.assert_allclose(choi, omega @ omega.conj().T, atol=1e-12)
+        np.testing.assert_allclose(
+            oracles.choi_matrix(oracles.paulis16() * ch.overlaps),
+            omega @ omega.conj().T, atol=1e-12)
 
     def test_unitary_channel_choi_rank_one(self):
-        ch = unitary_channel(random_unitary(4, 9))
-        ev = np.linalg.eigvalsh(ch.choi_matrix())
-        assert ev[-1] == pytest.approx(4.0, abs=1e-9)
-        assert np.all(np.abs(ev[:-1]) < 1e-9)
+        # W = u u^dag is rank one with eigenvalue 4, as is the Choi matrix
+        u = random_diagonal_unitary(9)
+        w = unitary_channel(u).overlaps
+        np.testing.assert_allclose(w, np.outer(np.diag(u),
+                                               np.diag(u).conj()),
+                                   atol=1e-15)
+        for ev in (np.linalg.eigvalsh(w), self.choi_spectrum(w)):
+            assert ev[-1] == pytest.approx(4.0, abs=1e-9)
+            assert np.all(np.abs(ev[:-1]) < 1e-9)
 
     def test_gate_channel_choi_properties(self, fig_channel):
-        choi = fig_channel.choi_matrix()
-        ev = np.linalg.eigvalsh(choi)
+        w = fig_channel.overlaps
+        ev = np.linalg.eigvalsh(w)
         assert ev[0] > -1e-6
-        assert np.trace(choi).real == pytest.approx(4.0, abs=1e-6)
+        assert np.trace(w).real == pytest.approx(4.0, abs=1e-6)
         # nearly unitary: one dominant eigenvalue
         assert ev[-1] > 4.0 - 1e-2
+        # the Choi matrix's nonzero spectrum is eig(W)
+        choi_ev = self.choi_spectrum(w)
+        np.testing.assert_allclose(choi_ev[-4:], ev, rtol=0, atol=1e-12)
+        assert np.all(np.abs(choi_ev[:-4]) < 1e-12)
 
-    def test_rejects_trace_breaking_images(self):
-        images = list(np.eye(4, dtype=complex) for _ in range(16))
-        images[0] = 0.5 * images[0]
+    def test_overlaps_read_only(self, fig_channel):
+        with pytest.raises(ValueError, match="read-only"):
+            fig_channel.overlaps[0, 0] = 0.0
+
+    def test_rejects_non_hermitian(self):
+        w = np.ones((4, 4), dtype=complex)
+        w[0, 1] += 1e-3j
+        with pytest.raises(ValueError, match="Hermitian"):
+            metric.QuantumChannel(w)
+
+    def test_rejects_trace_breaking_overlaps(self):
         with pytest.raises(ValueError, match="trace"):
-            metric.QuantumChannel(images=tuple(images), overlaps=np.eye(4))
+            metric.QuantumChannel(np.diag([0.5, 1.0, 1.0, 1.0]))
 
-    def test_rejects_transpose_map(self):
-        # trace preserving but not completely positive
-        images = tuple(sig.T.copy() for sig in oracles.paulis16())
+    def test_rejects_negative_eigenvalue(self):
+        # Hermitian and trace preserving, smallest eigenvalue -0.5
+        w = np.eye(4, dtype=complex)
+        w[0, 1] = w[1, 0] = 1.5
         with pytest.raises(ValueError, match="completely positive"):
-            metric.QuantumChannel(images=images, overlaps=np.eye(4))
+            metric.QuantumChannel(w)
 
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError, match="16 images"):
-            metric.QuantumChannel(images=(np.eye(4),) * 15,
-                                  overlaps=np.eye(4))
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="4x4"):
+            metric.QuantumChannel(np.eye(3))
 
 
 class TestReconstructChannel:
-    def test_images_are_pauli_times_overlaps(self, fig_channel):
-        w = fig_channel.overlaps
-        for sig, img in zip(oracles.paulis16(), fig_channel.images):
-            np.testing.assert_allclose(img, sig * w, atol=1e-15)
-
     def test_overlap_diagonal_is_unity(self, fig_channel):
         np.testing.assert_allclose(np.diag(fig_channel.overlaps),
                                    np.ones(4), atol=1e-9)
@@ -687,7 +731,8 @@ def test_fock_and_gaussian_agree_on_random_points(n, data, tweezer_khz,
                                                   detuning_khz, nbar_com):
     # all n modes retained, an ordered pair, thermal tail at most 1e-6;
     # each report builds its QuantumChannel, whose constructor checks
-    # trace preservation and complete positivity
+    # trace preservation and complete positivity on W; on each backend's W
+    # those checks and the fidelity agree with the Pauli-image oracles
     pair = tuple(data.draw(st.permutations(range(n)))[:2])
     cfg = config(trap=trap(n), pair=pair,
                  tweezer_frequency=2 * math.pi * 1e3 * tweezer_khz,
@@ -699,9 +744,18 @@ def test_fock_and_gaussian_agree_on_random_points(n, data, tweezer_khz,
     thermal = hilbert.ThermalEnsemble(nbars, cutoffs)
     assert thermal.tail_weight() <= 1e-6
     space = hilbert.SpaceSpec(2, cutoffs)
-    f_f, f_g = (metric.fidelity_report(cfg, thermal, space,
-                                       backend=backend).fidelity
-                for backend in ("fock", "gaussian"))
+    ref = metric.ideal_gate(cfg, evolve.retained_modes(cfg, space))
+    fids = []
+    for backend in ("fock", "gaussian"):
+        fids.append(metric.fidelity_report(cfg, thermal, space,
+                                           backend=backend).fidelity)
+        ch = metric.reconstruct_channel(cfg, thermal, space, backend=backend)
+        images = oracles.paulis16() * ch.overlaps
+        assert abs(metric.process_fidelity(ch, ref)
+                   - oracles.pauli_fidelity(images, ref.matrix)) < 1e-14
+        assert abs(np.linalg.eigvalsh(oracles.choi_matrix(images))[0]
+                   - min(np.linalg.eigvalsh(ch.overlaps)[0], 0.0)) < 1e-12
+    f_f, f_g = fids
     assert 0.0 <= f_f <= 1.0 and 0.0 <= f_g <= 1.0
     assert abs(f_f - f_g) < 5e-6
 
@@ -763,8 +817,10 @@ class TestChannelFromPropagator:
         space = hilbert.SpaceSpec(2, (5,))
         th = hilbert.ThermalEnsemble((0.2,), (5,))
         ch = oracles.channel_from_propagator(np.eye(space.dim), th, space)
-        for sig, img in zip(oracles.paulis16(), ch.images):
-            np.testing.assert_allclose(img, sig, atol=1e-12)
+        np.testing.assert_allclose(ch.overlaps, np.ones((4, 4)), atol=1e-12)
+        np.testing.assert_allclose(
+            oracles.propagator_images(np.eye(space.dim), th, space),
+            oracles.paulis16(), atol=1e-12)
 
     def test_product_evolution_ignores_motion(self):
         # U = V kron W traces to conjugation by V for any motional W
@@ -772,36 +828,47 @@ class TestChannelFromPropagator:
         th = hilbert.ThermalEnsemble((0.2,), (5,))
         v = random_unitary(4, 21)
         w = random_unitary(space.mode_dim, 22)
-        ch = oracles.channel_from_propagator(np.kron(v, w), th, space)
-        for sig, img in zip(oracles.paulis16(), ch.images):
-            np.testing.assert_allclose(img, v @ sig @ v.conj().T,
-                                       atol=1e-12)
+        np.testing.assert_allclose(
+            oracles.propagator_images(np.kron(v, w), th, space),
+            unitary_images(v), atol=1e-12)
+        d = random_diagonal_unitary(23)
+        ch = oracles.channel_from_propagator(np.kron(d, w), th, space)
+        np.testing.assert_allclose(ch.overlaps, unitary_channel(d).overlaps,
+                                   atol=1e-12)
 
     def test_matches_reconstruction_on_gate_propagator(self, fig_point):
         # assemble the block-diagonal relative propagator and take the
         # literal partial trace; must equal the elementwise-shortcut
-        # reconstruction
+        # reconstruction, and its images must be the Paulis times W
         cfg, _ = fig_point
         space = hilbert.SpaceSpec(2, (12,))
         th = hilbert.ThermalEnsemble((0.1,), (12,))
         setup = _exact.setup_from_config(
             cfg, evolve.retained_modes(cfg, space))
-        u = np.zeros((space.dim, space.dim), dtype=complex)
-        for c, gens in enumerate(_exact.config_generators(setup)):
-            blk = slice(c * space.mode_dim, (c + 1) * space.mode_dim)
-            u[blk, blk] = _exact.dense_u_rel(gens, space.mode_dims)
+        u = scipy.linalg.block_diag(*(
+            _exact.dense_u_rel(gens, space.mode_dims)
+            for gens in _exact.config_generators(setup)))
         ch_lit = oracles.channel_from_propagator(u, th, space)
         ch_rec = metric.reconstruct_channel(cfg, th, space, backend="fock")
         np.testing.assert_allclose(ch_lit.overlaps, ch_rec.overlaps,
                                    atol=1e-10)
-        for a, b in zip(ch_lit.images, ch_rec.images):
-            np.testing.assert_allclose(a, b, atol=1e-10)
+        np.testing.assert_allclose(oracles.propagator_images(u, th, space),
+                                   oracles.paulis16() * ch_rec.overlaps,
+                                   atol=1e-10)
 
     def test_rejects_wrong_dimension(self):
         space = hilbert.SpaceSpec(2, (4,))
         th = hilbert.ThermalEnsemble((0.0,), (4,))
         with pytest.raises(ValueError, match="dimension"):
             oracles.channel_from_propagator(np.eye(7), th, space)
+
+    def test_rejects_non_diagonal_propagator(self):
+        # a channel that mixes configurations is not W * rho
+        space = hilbert.SpaceSpec(2, (4,))
+        th = hilbert.ThermalEnsemble((0.0,), (4,))
+        u = np.kron(random_unitary(4, 24), np.eye(space.mode_dim))
+        with pytest.raises(ValueError, match="qubit-diagonal"):
+            oracles.channel_from_propagator(u, th, space)
 
 
 class TestFidelityReport:
