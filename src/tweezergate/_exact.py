@@ -132,7 +132,8 @@ def envelope_pieces(t_a, tau, tr):
     padded with zero pieces to the ramps' three, so segments stack."""
     t_a = np.asarray(t_a, float)
     te = t_a + tau
-    if tr <= 0:
+    # a ramp within the resolution of tau is flat; (pi / tr)^2 may overflow
+    if tr <= np.finfo(float).eps * tau:
         return (t_a[..., None], te[..., None], np.ones(t_a.shape + (1, 1)),
                 np.zeros((1, 1)))
     k = np.pi / tr

@@ -7,12 +7,12 @@ two disagree at the documented operating point (by about a factor of
 five in field), so the rule emits a consistency warning quoting both
 numbers rather than silently preferring one.
 
-Sweeps and the four-ion study share one point runner: one fidelity
-report per (spec, value) task, deterministically and with per-point
-error carrying, optionally in a process pool, and with finished points
-cached on disk keyed by a canonical parameter hash so interrupted runs
-resume.  The four-ion study reproduces the per-pair corrected drive
-frequencies and infidelities of the full-crystal gate.
+Sweeps and the pair table share one point runner: one fidelity report
+per (spec, value) task, deterministically and with per-point error
+carrying, optionally in a process pool, and with finished points cached
+on disk keyed by a canonical parameter hash so interrupted runs resume.
+The pair table reports one gate configuration at one pair of each
+chain-reflection class of any crystal.
 """
 
 import atexit
@@ -37,8 +37,6 @@ DEFAULT_COM_FREQUENCY = 2.0 * math.pi * 1.0e6
 
 SWEEP_AXES = ("tweezer_frequency", "detuning", "nbar", "field_amplitude")
 FIELD_RULES = ("pi_over_4_coupling", "target_conditional_phase")
-
-PAIR_LABELS = ((1, 2), (1, 3), (1, 4), (2, 3))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,10 +91,10 @@ class SweepPoint:
 
 @dataclasses.dataclass(frozen=True)
 class PairStudy:
-    """One addressed pair of the four-ion study.
+    """One row of the pair table.
 
     pair uses 1-based chain positions as reported; drive_frequency is the
-    corrected drive (angular rad/s) and offset_hz = (w_com - mu)/2pi.
+    report's drive mu (angular rad/s) and offset_hz = (w_com - mu)/2pi.
     """
 
     pair: tuple
@@ -356,35 +354,49 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
 
 
 def threshold_crossings(points, targets):
-    """First axis value at which the fidelity reaches each target and
-    stays measurable: the smallest grid value with F >= target."""
-    return {t: next((p.axis_value for p in points
-                     if p.ok and p.report.fidelity >= t), None)
+    """The smallest grid value with a report and F >= target, for each
+    target (None where no point reaches it), in either grid direction."""
+    return {t: min((p.axis_value for p in points
+                    if p.ok and p.report.fidelity >= t), default=None)
             for t in targets}
 
 
-def default_four_ion_trap() -> crystal.TrapSpec:
-    return crystal.TrapSpec(4, YB171_MASS_KG, DEFAULT_COM_FREQUENCY)
+def table_pairs(n: int) -> list:
+    """One 0-based pair (i, j), i < j, of each chain-reflection class of
+    n ions: the one with (i, j) <= its reflection (n-1-j, n-1-i)."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if (i, j) <= (n - 1 - j, n - 1 - i)]
 
 
-def check_pair_study(config: drive.GateConfig, cutoffs):
-    """Raise ValueError unless config's trap has four ions, cutoffs retain
-    all modes, and every config field with a default keeps it: the study
-    runs the default sequence at each pair's corrected drive frequency."""
-    if config.trap.n_ions != 4:
-        raise ValueError("the pair study expects a four-ion crystal")
-    if len(cutoffs) != config.trap.n_ions:
-        raise ValueError("the pair study retains all four axial modes")
-    # a boundary flips a multiset of qubits, listed in any order
-    config = dataclasses.replace(config, echo_schedule=[
-        sorted(b) for b in config.echo_schedule])
-    changed = [f.name for f in dataclasses.fields(config)
-               if f.default is not dataclasses.MISSING
-               and getattr(config, f.name) != f.default]
-    if changed:
-        raise ValueError(
-            f"the pair study runs the default sequence at each pair's "
-            f"corrected drive frequency; it cannot apply {', '.join(changed)}")
+def pair_table(config: drive.GateConfig, cutoffs, nbar_com: float = 0.0,
+               backend: str = "gaussian", jobs: int = 1,
+               cache_dir=None) -> list:
+    """The gate of config at every table_pairs pair of its crystal.
+
+    Row p is fidelity_report(replace(config, pair=p)), the report `gate`
+    writes for that pair; config.pair is not read.  Labels are 1-based
+    chain positions, qubit 0 on the first listed ion: the ordered mirror
+    (n-1-i, n-1-j) of 0-based (i, j) gives the same row, (n-1-j, n-1-i)
+    does not.  The pairs run as run_sweep runs its points (pool, cache);
+    a pair that failed, or whose worker died, raises RuntimeError.
+    """
+    specs = [SweepSpec(axis="tweezer_frequency",
+                       grid=(config.tweezer_frequency,),
+                       config=dataclasses.replace(config, pair=pair),
+                       cutoffs=cutoffs, nbar_com=nbar_com, backend=backend)
+             for pair in table_pairs(config.trap.n_ions)]
+    points = _run_points([(s, s.grid[0]) for s in specs], jobs, cache_dir)
+    table = []
+    for spec, point in zip(specs, points):
+        label = tuple(k + 1 for k in spec.config.pair)
+        if not point.ok:
+            raise RuntimeError(f"pair {label} failed: {point.error}")
+        mu = point.report.parameters["drive_frequency_rad_s"]
+        table.append(PairStudy(
+            pair=label, drive_frequency=mu,
+            offset_hz=(config.trap.axial_frequency - mu) / (2.0 * math.pi),
+            fidelity=point.report.fidelity, report=point.report))
+    return table
 
 
 def four_ion_table(tweezer_frequency: float, delta_base: float,
@@ -392,47 +404,12 @@ def four_ion_table(tweezer_frequency: float, delta_base: float,
                    cutoffs=(14, 6, 6, 6), nbar_com: float = 0.0,
                    backend: str = "column", jobs: int = 1,
                    cache_dir=None) -> list:
-    """Gate study for every addressed pair of a four-ion crystal.
-
-    Each pair gets its corrected drive frequency from the full-crystal
-    mixed-configuration branch, then runs the gate with the full tweezer
-    coupling and all retained modes.  Pairs are labeled with 1-based
-    chain positions, qubit 0 on the first listed ion.  The ordered mirror
-    (n-1-i, n-1-j) of 0-based (i, j) gives the same row; (n-1-j, n-1-i),
-    which moves qubit 0 to the other ion, does not.
-
-    The pairs go through the sweeps' point runner: with jobs > 1 the
-    uncached pairs share the process's pool of at most jobs workers, and
-    cache_dir caches them as in run_sweep.  A pair whose evaluation
-    raised, or whose worker process died, raises RuntimeError naming the
-    pair.
-    """
+    """pair_table of the default sequence on trap (default: the four-ion
+    crystal of the published study)."""
     if trap is None:
-        trap = default_four_ion_trap()
-    base = drive.GateConfig(trap=trap, pair=(0, 1),
-                            tweezer_frequency=tweezer_frequency,
-                            field_amplitude=field_amplitude,
-                            detuning=delta_base)
-    check_pair_study(base, cutoffs)
-    specs = []
-    for i, j in PAIR_LABELS:
-        pair = (i - 1, j - 1)
-        mu = corrected_drive_frequency(trap, pair, tweezer_frequency,
-                                       delta_base)
-        cfg = dataclasses.replace(base, pair=pair, drive_frequency=mu)
-        specs.append(SweepSpec(axis="tweezer_frequency",
-                               grid=(tweezer_frequency,), config=cfg,
-                               cutoffs=cutoffs, nbar_com=nbar_com,
-                               backend=backend))
-    points = _run_points([(s, s.grid[0]) for s in specs], jobs, cache_dir)
-    table = []
-    for label, spec, point in zip(PAIR_LABELS, specs, points):
-        if not point.ok:
-            raise RuntimeError(f"pair {label} failed: {point.error}")
-        mu = spec.config.drive_frequency
-        table.append(PairStudy(
-            pair=label, drive_frequency=mu,
-            offset_hz=(trap.axial_frequency - mu) / (2.0 * math.pi),
-            fidelity=point.report.fidelity, report=point.report))
-    return table
-
+        trap = crystal.TrapSpec(4, YB171_MASS_KG, DEFAULT_COM_FREQUENCY)
+    config = drive.GateConfig(
+        trap=trap, pair=(0, 1),
+        tweezer_frequency=tweezer_frequency,
+        field_amplitude=field_amplitude, detuning=delta_base)
+    return pair_table(config, cutoffs, nbar_com, backend, jobs, cache_dir)

@@ -68,13 +68,14 @@ class ConfigError(Exception):
 
 def load_document(source: str) -> dict:
     """Read a config document from a preset name or a JSON file path."""
-    if os.path.exists(source):
-        path = source
-        with open(path) as fh:
-            try:
+    if os.path.isfile(source):  # a folder named like a preset is not one
+        try:
+            with open(source) as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config {source}: invalid JSON: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"config {source}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {source}: invalid JSON: {exc}")
     elif source in PRESETS:
         res = importlib.resources.files("tweezergate").joinpath(
             "presets", source + ".json")
@@ -312,12 +313,9 @@ def cmd_sweep(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
 
 
 def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
-    cfg = inputs.gate_config()
-    table = calibrate.four_ion_table(
-        cfg.tweezer_frequency, cfg.detuning, trap=inputs.trap,
-        field_amplitude=cfg.field_amplitude,
-        cutoffs=inputs.space.mode_cutoffs, nbar_com=inputs.doc["nbar_com"],
-        backend=inputs.backend, jobs=jobs)
+    table = calibrate.pair_table(
+        inputs.gate_config(), inputs.space.mode_cutoffs,
+        nbar_com=inputs.doc["nbar_com"], backend=inputs.backend, jobs=jobs)
     h = inputs.config_hash()
     rows = [[f"({st.pair[0]},{st.pair[1]})", _fmt(st.infidelity_x1e4),
              _fmt(st.offset_hz / 1e3)] for st in table]
@@ -341,12 +339,12 @@ def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
             "offset_definition": "(omega_com - mu) / 2pi in kHz, "
                                  "positive when the drive sits below "
                                  "the bare COM frequency",
-            "drive_frequency": "mu = (exact mixed-spin-configuration "
-                               "COM branch over all modes) + detuning; "
-                               "detuning is negative",
+            "drive_frequency": "mu = drive_frequency_hz if set, else (exact "
+                               "mixed-spin-configuration COM branch over "
+                               "the retained modes) + detuning",
             "conditional_phase": "arg(u00) + arg(u11) - arg(u01) "
                                  "- arg(u10)",
-            "modes": "all four axial modes retained; thermal "
+            "modes": "the modes of mode_cutoffs retained; thermal "
                      "occupation at equal temperature fixed by "
                      "nbar_com",
         },
@@ -366,7 +364,7 @@ _COMMANDS = {
     "gate": (cmd_gate, "single gate fidelity report", ("tol",)),
     "sweep": (cmd_sweep, "fidelity sweep over one parameter axis",
               ("jobs",)),
-    "table4": (cmd_table4, "four-ion study over all addressed pairs",
+    "table4": (cmd_table4, "gate at one pair per chain-reflection class",
                ("jobs",)),
 }
 # the commands that read each option, as in "gate and phasespace"
@@ -427,11 +425,9 @@ def main(argv=None) -> int:
                               "trajectory; use the gaussian or ode backend")
         # the library's physics checks of each command, before any file
         if args.command != "modes":
-            config = inputs.gate_config()
+            inputs.gate_config()
         if args.command == "sweep":
             inputs.sweep_spec()
-        if args.command == "table4":
-            calibrate.check_pair_study(config, inputs.space.mode_cutoffs)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

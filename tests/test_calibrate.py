@@ -205,7 +205,7 @@ class TestCorrectedDriveFrequency:
     def test_one_rule_behind_every_entry_point(self, pair):
         # the report's resolved drive frequency, the pair study's and the
         # tabulated offset all come from crystal.resonant_drive_frequency
-        t4 = calibrate.default_four_ion_trap()
+        t4 = trap(4)
         modes = crystal.normal_modes(t4)
         mu = crystal.resonant_drive_frequency(modes, W_TW_TABLE, pair, DELTA)
         cfg = drive.GateConfig(trap=t4, pair=pair,
@@ -219,7 +219,7 @@ class TestCorrectedDriveFrequency:
         assert off == pytest.approx(t4.axial_frequency - mu, rel=1e-9)
 
     def test_offset_vanishes_quadratically(self):
-        t4 = calibrate.default_four_ion_trap()
+        t4 = trap(4)
         w = t4.axial_frequency
 
         def curvature_part(wt):
@@ -234,7 +234,7 @@ class TestCorrectedDriveFrequency:
         assert c2 / c1 == pytest.approx(16.0, rel=0.05)
 
     def test_four_ion_offsets_match_published(self):
-        t4 = calibrate.default_four_ion_trap()
+        t4 = trap(4)
         published_hz = {(0, 1): 1212.0, (0, 2): 1325.0,
                         (0, 3): 1488.0, (1, 2): 1162.0}
         for pair, want in published_hz.items():
@@ -245,7 +245,7 @@ class TestCorrectedDriveFrequency:
 
     def test_offsets_at_reduced_tweezer_match_tightly(self):
         # at 254 kHz the published offsets are reproduced within 10 Hz
-        t4 = calibrate.default_four_ion_trap()
+        t4 = trap(4)
         w_tw = 2.0 * math.pi * 254.0e3
         published_hz = {(0, 1): 1212.0, (0, 2): 1325.0,
                         (0, 3): 1488.0, (1, 2): 1162.0}
@@ -516,6 +516,22 @@ class TestRunSweep:
         assert cross[0.999] is not None
         assert cross[0.99999] is None
 
+    def test_crossings_do_not_depend_on_grid_direction(self):
+        # the smallest grid value reaching each target, also on a
+        # descending grid
+        up = calibrate.SweepSpec(
+            axis="tweezer_frequency",
+            grid=tuple(r * calibrate.DEFAULT_COM_FREQUENCY
+                       for r in (0.12, 0.20, 0.25)),
+            config=config(), cutoffs=(16,))
+        down = dataclasses.replace(up, grid=up.grid[::-1])
+        targets = (0.99, 0.999, 0.99999)
+        cross = calibrate.threshold_crossings(calibrate.run_sweep(up),
+                                              targets)
+        assert calibrate.threshold_crossings(calibrate.run_sweep(down),
+                                             targets) == cross
+        assert cross[0.99] == up.grid[0]
+
 
 class TestSharedPool:
     """Pooled calls in one process share one worker pool."""
@@ -638,7 +654,7 @@ class TestFourIonTable:
     def test_reproduces_published_study(self):
         table = calibrate.four_ion_table(W_TW_TABLE, DELTA,
                                          backend="gaussian")
-        assert [st.pair for st in table] == list(calibrate.PAIR_LABELS)
+        assert [st.pair for st in table] == [(1, 2), (1, 3), (1, 4), (2, 3)]
         want_off = (1220.8, 1338.6, 1507.6, 1168.9)
         want_inf = (1.575, 2.327, 1.344, 2.453)
         for st, off, inf in zip(table, want_off, want_inf):
@@ -671,7 +687,7 @@ class TestFourIonTable:
     def test_ordered_mirror_pairs_agree(self):
         # reflecting the chain maps (i, j) to (n-1-i, n-1-j): qubit 0 stays
         # on the reflected image of its ion, and the row is unchanged
-        trap4 = calibrate.default_four_ion_trap()
+        trap4 = trap(4)
         cutoffs = (14, 6, 6, 6)
         thermal = hilbert.equal_temperature_ensemble(
             0.3, crystal.normal_modes(trap4).frequencies, cutoffs)
@@ -688,8 +704,7 @@ class TestFourIonTable:
                                                backend="gaussian").fidelity
 
         n = trap4.n_ions
-        for label in calibrate.PAIR_LABELS:
-            i, j = label[0] - 1, label[1] - 1
+        for i, j in calibrate.table_pairs(n):
             mu_a, f_a = row((i, j))
             mu_b, f_b = row((n - 1 - i, n - 1 - j))
             assert abs(mu_a - mu_b) <= 1e-12 * mu_a
@@ -703,7 +718,7 @@ class TestFourIonTable:
     def test_mirror_pairs_agree(self, pair):
         # the table lists one pair of each mirror image (i, j) and
         # (n-1-j, n-1-i) of the symmetric chain
-        trap4 = calibrate.default_four_ion_trap()
+        trap4 = trap(4)
         cutoffs = (14, 6, 6, 6)
         thermal = hilbert.equal_temperature_ensemble(
             0.3, crystal.normal_modes(trap4).frequencies, cutoffs)
@@ -757,12 +772,78 @@ class TestFourIonTable:
                [st.report.as_dict() for st in first]
 
     def test_validation(self):
+        # the point runner's and GateConfig's checks; the crystal size and
+        # the retained modes are the caller's choice
         with pytest.raises(ValueError, match="jobs"):
             calibrate.four_ion_table(W_TW_TABLE, DELTA, jobs=0)
-        with pytest.raises(ValueError, match="four-ion"):
-            calibrate.four_ion_table(W_TW_TABLE, DELTA, trap=trap(2))
-        with pytest.raises(ValueError, match="four"):
-            calibrate.four_ion_table(W_TW_TABLE, DELTA, cutoffs=(14, 6))
+        with pytest.raises(ValueError, match="detuning"):
+            calibrate.four_ion_table(W_TW_TABLE, 0.0)
+        assert len(calibrate.four_ion_table(W_TW_TABLE, DELTA, trap=trap(2),
+                                            cutoffs=(14,))) == 1
+        assert len(calibrate.four_ion_table(W_TW_TABLE, DELTA,
+                                            cutoffs=(14, 6))) == 4
+
+    def test_is_the_pair_table_of_its_config(self):
+        cfg = drive.GateConfig(trap=trap(4), pair=(0, 1),
+                               tweezer_frequency=W_TW_TABLE,
+                               field_amplitude=2.69e-4, detuning=DELTA)
+        got = calibrate.four_ion_table(W_TW_TABLE, DELTA, nbar_com=0.3,
+                                       backend="gaussian")
+        want = calibrate.pair_table(cfg, (14, 6, 6, 6), nbar_com=0.3)
+        assert got == want
+
+
+class TestPairTable:
+    """Row p of the pair table is the gate report at pair p."""
+
+    def test_pair_rule_at_four_ions(self):
+        assert [(i + 1, j + 1) for i, j in calibrate.table_pairs(4)] == \
+               [(1, 2), (1, 3), (1, 4), (2, 3)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_pair_per_reflection_class(self, n):
+        listed = calibrate.table_pairs(n)
+        assert len(set(listed)) == len(listed)
+        assert all(0 <= i < j < n for i, j in listed)
+        for i in range(n):
+            for j in range(i + 1, n):
+                cls = {(i, j), (n - 1 - j, n - 1 - i)}
+                assert len(cls & set(listed)) == 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 6), n_modes=st.integers(1, 6),
+           ramp=st.floats(0.0, 0.25), swap=st.booleans(),
+           mu_offset=st.none() | st.floats(-0.5, 0.5),
+           nbar_com=st.sampled_from([0.0, 0.3]))
+    def test_rows_are_fidelity_reports(self, n, n_modes, ramp, swap,
+                                       mu_offset, nbar_com):
+        # any crystal, retained modes, ramp, listing order of a boundary's
+        # qubits and set or resolved drive frequency
+        n_modes = min(n_modes, n)
+        w = calibrate.DEFAULT_COM_FREQUENCY
+        mu = None if mu_offset is None else w + DELTA * (1.0 + mu_offset)
+        cfg = config(trap=trap(n), pair=(n - 1, 0), ramp_fraction=ramp,
+                     tweezer_frequency=W_TW_TABLE, drive_frequency=mu,
+                     echo_schedule=((1, 0) if swap else (0, 1), (0,), (1,)))
+        cutoffs = (10,) * n_modes
+        table = calibrate.pair_table(cfg, cutoffs, nbar_com=nbar_com)
+        thermal = hilbert.equal_temperature_ensemble(
+            nbar_com, crystal.normal_modes(cfg.trap).frequencies[:n_modes],
+            cutoffs)
+        space = hilbert.SpaceSpec(2, cutoffs)
+        assert [st_.pair for st_ in table] == [
+            (i + 1, j + 1) for i, j in calibrate.table_pairs(n)]
+        for row in table:
+            pair = (row.pair[0] - 1, row.pair[1] - 1)
+            rep = metric.fidelity_report(
+                dataclasses.replace(cfg, pair=pair), thermal, space,
+                backend="gaussian")
+            assert row.report.as_dict() == rep.as_dict()
+            assert row.fidelity == rep.fidelity
+            assert row.drive_frequency == rep.parameters[
+                "drive_frequency_rad_s"]
+            if mu is not None:
+                assert row.drive_frequency == mu
 
 
 class TestParameterRecord:

@@ -66,6 +66,31 @@ class TestLoadDocument:
         with pytest.raises(cli.ConfigError, match="invalid JSON"):
             cli.load_document(str(path))
 
+    def test_directory_is_not_a_config_file(self, tmp_path, monkeypatch):
+        # a folder named like a preset (an output folder, say) falls
+        # through to the preset; any other folder is neither
+        preset = cli.load_document("fig2")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig2").mkdir()
+        (tmp_path / "results").mkdir()
+        assert cli.load_document("fig2") == preset
+        with pytest.raises(cli.ConfigError, match="neither a file"):
+            cli.load_document("results")
+
+    def test_unreadable_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = write_doc(tmp_path, fig2_doc())
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        out = tmp_path / "never"
+        rc = cli.main(["gate", "--config", path, "--out-dir", str(out)])
+        assert rc == 2
+        assert (f"config error: config {path}: [Errno 13] Permission "
+                f"denied" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_object_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -553,38 +578,68 @@ class TestTable4:
         assert "conventions" in payload
         assert "offset_definition" in payload["conventions"]
 
-    @pytest.mark.parametrize("preset, cutoffs, message", [
-        ("fig2", [20], "expects a four-ion crystal"),
-        ("table1", [8, 4, 4], "retains all four axial modes")])
-    def test_pair_study_config_exits_2(self, tmp_path, capsys, preset,
-                                       cutoffs, message):
-        # the pair study's own checks run before any file is written
-        path = write_doc(tmp_path, dict(cli.load_document(preset),
-                                        mode_cutoffs=cutoffs))
-        out = tmp_path / "never"
-        rc = cli.main(["table4", "--config", path, "--out-dir", str(out)])
-        assert rc == 2
-        assert (f"config error: the pair study {message}"
-                in capsys.readouterr().err)
-        assert not out.exists()
+    @staticmethod
+    def assert_rows_are_gate_reports(tmp_path, doc, out):
+        # each row is the report gate writes with the row's pair set
+        rows = json.loads((out / "table4.json").read_text())["rows"]
+        for row in rows:
+            path = write_doc(tmp_path, dict(doc, pair=row["pair"]),
+                             name="gate.json")
+            gate_out = tmp_path / "gate"
+            assert cli.main(["gate", "--config", path,
+                             "--out-dir", str(gate_out)]) == 0
+            rep = json.loads((gate_out / "gate_report.json").read_text())
+            assert row["fidelity"] == rep["report"]["fidelity"]
+            assert row["drive_frequency_rad_s"] == \
+                   rep["report"]["drive_frequency_rad_s"]
+        return rows
+
+    @pytest.mark.parametrize("preset, cutoffs, n_rows", [
+        ("fig2", [20], 1), ("table1", [8, 4, 4], 4)])
+    def test_any_crystal_and_retained_modes(self, tmp_path, preset, cutoffs,
+                                            n_rows):
+        doc = dict(cli.load_document(preset), mode_cutoffs=cutoffs)
+        out = tmp_path / "out"
+        rc = cli.main(["table4", "--config", write_doc(tmp_path, doc),
+                       "--out-dir", str(out)])
+        assert rc == 0
+        rows = self.assert_rows_are_gate_reports(tmp_path, doc, out)
+        assert len(rows) == n_rows
+        if preset == "fig2":
+            # mu over the one retained mode sits 1 kHz below its branch
+            assert rows[0]["omega_com_minus_mu_khz"] == pytest.approx(
+                1.000, abs=5e-4)
 
     @pytest.mark.parametrize("setting", [
         dict(ramp_fraction=0.0), dict(ramp_fraction=0.1),
         dict(pulse_count=2, field_on_mask=[True, True], echo_schedule=[[]]),
         dict(drive_frequency_hz=999000.0)])
-    def test_settings_the_study_does_not_apply_exit_2(self, tmp_path, capsys,
-                                                      setting):
-        # the study runs the default sequence at each pair's corrected
-        # drive frequency; a document asking for anything else is refused
-        path = write_doc(tmp_path, dict(cli.load_document("table1"),
-                                        **setting))
-        out = tmp_path / "never"
-        rc = cli.main(["table4", "--config", path, "--out-dir", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "config error: the pair study runs the default sequence" in err
-        assert all(key.removesuffix("_hz") in err for key in setting)
-        assert not out.exists()
+    def test_sequence_settings_apply(self, tmp_path, setting):
+        # the table runs the document's sequence and drive frequency rule
+        doc = dict(cli.load_document("table1"), **setting)
+        out = tmp_path / "out"
+        rc = cli.main(["table4", "--config", write_doc(tmp_path, doc),
+                       "--out-dir", str(out)])
+        assert rc == 0
+        rows = self.assert_rows_are_gate_reports(tmp_path, doc, out)
+        assert len(rows) == 4
+        if "drive_frequency_hz" in setting:
+            assert all(r["drive_frequency_rad_s"]
+                       == 2 * math.pi * 999000.0 for r in rows)
+
+    def test_five_ions_parallel_matches_serial(self, tmp_path):
+        doc = dict(cli.load_document("table1"), n_ions=5,
+                   mode_cutoffs=[8, 3, 3, 3, 3])
+        path = write_doc(tmp_path, doc)
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for d, jobs in ((d1, "1"), (d2, "2")):
+            assert cli.main(["table4", "--config", path, "--out-dir", str(d),
+                             "--jobs", jobs]) == 0
+        _, rows = read_csv(d1 / "table4.csv")
+        assert [r[0] for r in rows[1:]] == [
+            "(1,2)", "(1,3)", "(1,4)", "(1,5)", "(2,3)", "(2,4)"]
+        for name in ("table4.csv", "table4.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_boundary_listing_order_does_not_matter(self, tmp_path):
         # a boundary flips a set of qubits: [1, 0] is the default [0, 1]

@@ -172,6 +172,15 @@ class TestEnvelope:
         np.testing.assert_allclose(
             envelope(np.array([0.0, 0.3 * tau, tau]), 0, c), 1.0)
 
+    def test_ramp_below_the_resolution_of_tau_is_flat(self):
+        # such a ramp gives the flat pulse's pieces, not frequencies pi / t_r
+        # that overflow in the moments
+        tau = config().pulse_duration
+        for tr in (2.2e-16 * tau, 1e-300, 5e-324):
+            for got, want in zip(_exact.envelope_pieces(0.0, tau, tr),
+                                 _exact.envelope_pieces(0.0, tau, 0.0)):
+                np.testing.assert_array_equal(got, want)
+
     def test_outside_pulse_is_zero(self):
         c = config()
         assert envelope(-1e-6, 0, c) == 0.0
