@@ -40,7 +40,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import crystal, drive
 
@@ -492,6 +491,7 @@ def dense_wmat(setup: SequenceSetup, dims, weights):
 
 def sparse_ladders(dims):
     """Sparse (a_m, a_m^dag) operator lists on the product mode space."""
+    import scipy.sparse as sp  # the ode backend's operators
     a_ops = []
     n = len(dims)
     for m, d in enumerate(dims):

@@ -31,6 +31,7 @@ from . import drive
 from . import hilbert
 from . import metric
 
+# CODATA 2018 (2022 reads 1.66053906892e-27); the preset outputs use this
 AMU_KG = 1.66053906660e-27
 YB171_MASS_KG = 171 * AMU_KG
 DEFAULT_COM_FREQUENCY = 2.0 * math.pi * 1.0e6

@@ -10,7 +10,12 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.constants as const
+
+# e and hbar = h / (2 pi) are exact since the 2019 SI; eps0 is the CODATA
+# 2022 value. All three equal scipy.constants (1.17) bit for bit.
+ELEMENTARY_CHARGE = 1.602176634e-19  # C
+HBAR = 6.62607015e-34 / (2 * np.pi)  # J s
+EPSILON_0 = 8.8541878188e-12  # F/m
 
 
 @dataclasses.dataclass(frozen=True)
@@ -24,7 +29,7 @@ class TrapSpec:
     n_ions: int
     ion_mass: float
     axial_frequency: float
-    charge: float = const.elementary_charge
+    charge: float = ELEMENTARY_CHARGE
 
     def __post_init__(self):
         if self.n_ions < 1:
@@ -90,7 +95,7 @@ class TweezerPerturbation:
 
 def coulomb_length(trap: TrapSpec) -> float:
     """Length unit l of the dimensionless chain coordinates, in meters."""
-    k = trap.charge ** 2 / (4.0 * np.pi * const.epsilon_0)
+    k = trap.charge ** 2 / (4.0 * np.pi * EPSILON_0)
     return (k / (trap.ion_mass * trap.axial_frequency ** 2)) ** (1.0 / 3.0)
 
 

@@ -21,7 +21,6 @@ import math
 import warnings
 
 import numpy as np
-import scipy.constants as const
 
 from . import crystal as _crystal
 
@@ -132,8 +131,9 @@ def gamma_from_field(field_amplitude: float, trap: _crystal.TrapSpec) -> float:
     with l_com the COM ground-state extent sqrt(hbar/(2 M w_com))."""
     if field_amplitude < 0:
         raise ValueError("field_amplitude must be >= 0")
-    l_com = math.sqrt(const.hbar / (2.0 * trap.ion_mass * trap.axial_frequency))
-    return trap.charge * field_amplitude * l_com / (2.0 * const.hbar)
+    hbar = _crystal.HBAR
+    l_com = math.sqrt(hbar / (2.0 * trap.ion_mass * trap.axial_frequency))
+    return trap.charge * field_amplitude * l_com / (2.0 * hbar)
 
 
 def envelope(t, pulse: int, config: GateConfig):

@@ -15,7 +15,10 @@ exponentials of the compiled static Hamiltonian (_exact.walk_pulses,
 shared with the ODE channel). _integrate, the package's one ODE solver,
 is scipy's DOP853 written out for dY/dt = G(t) Y: the generators of all
 stage times of a step come from one evaluation and each stage applies
-its CSR data with scipy's compiled kernel.
+its CSR data with scipy's compiled kernel. Only this backend uses scipy:
+the tableau (scipy.integrate.DOP853) is read on the first _integrate
+call and scipy.sparse, with its CSR kernel, is imported where the ODE
+operators are built, so the gaussian path never loads it.
 """
 from __future__ import annotations
 
@@ -25,9 +28,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.integrate
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from . import _exact, crystal, drive, hilbert
 
@@ -47,16 +47,21 @@ def _check_backend_tol(backend, tol):
         raise ValueError("tol applies only to the ode backend")
 
 
-# DOP853 tableau and step-size constants of scipy.integrate.DOP853, whose
-# stepping, step-size control and dense output _integrate reproduces
-_DOP = scipy.integrate.DOP853
-_STAGE_C = np.append(_DOP.C[1:], 1.0)  # stage times of a step, over h
-# stage weights cast to complex once, not by np.dot at every stage
-_STAGE_A = [_DOP.A[s, :s].astype(complex) for s in range(1, _DOP.n_stages)]
-_EXTRA_A = [a[:s].astype(complex) for s, a in
-            enumerate(_DOP.A_EXTRA, start=_DOP.n_stages + 1)]
-_ERROR_EXPONENT = -1 / (_DOP.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / 8  # -1 / (DOP853's error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+
+
+@functools.cache
+def _tableau():
+    """(DOP853, stage times of a step over h, stage weights, dense-output
+    stage weights) of scipy.integrate.DOP853, whose stepping, step-size
+    control and dense output _integrate reproduces; the weights are cast
+    to complex once, not by np.dot at every stage."""
+    from scipy.integrate import DOP853 as dop
+    return (dop, np.append(dop.C[1:], 1.0),
+            [dop.A[s, :s].astype(complex) for s in range(1, dop.n_stages)],
+            [a[:s].astype(complex) for s, a in
+             enumerate(dop.A_EXTRA, start=dop.n_stages + 1)])
 
 
 def _stage_ops(generator, n_rows, n_vecs):
@@ -67,6 +72,7 @@ def _stage_ops(generator, n_rows, n_vecs):
     evaluation, applied by scipy's compiled CSR kernel; a plain callable
     gives one operator per time."""
     if isinstance(generator, PulseGenerator):
+        from scipy.sparse import _sparsetools
         if n_vecs == 1:
             head = (_sparsetools.csr_matvec, generator.dim, generator.dim)
         else:
@@ -98,14 +104,14 @@ def _initial_step(evaluate, apply, t0, y, f, t1, max_step, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (_DOP.error_estimator_order + 1))
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     return min(100 * h0, h1, interval, max_step)
 
 
-def _error_norm(k, h, scale):
+def _error_norm(k, h, scale, dop):
     """DOP853's scaled error of a step with stages k."""
-    err5 = np.dot(k.T, _DOP.E5) / scale
-    err3 = np.dot(k.T, _DOP.E3) / scale
+    err5 = np.dot(k.T, dop.E5) / scale
+    err3 = np.dot(k.T, dop.E3) / scale
     err5_2 = np.linalg.norm(err5) ** 2
     err3_2 = np.linalg.norm(err3) ** 2
     if err5_2 == 0 and err3_2 == 0:
@@ -152,12 +158,13 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
     if n == 0 or t0 == t1:
         return np.repeat(y[:, None], len(t_eval), axis=1)
     evaluate, apply = _stage_ops(generator, len(y0), n // len(y0))
+    dop, stage_c, stage_a, extra_a = _tableau()
     # K[s] accumulates the stage derivative s of a step; rows 13-15 hold
     # the extra stages of the dense output
-    k_ext = np.zeros((_DOP.A_EXTRA.shape[1], n), dtype=complex)
-    k = k_ext[:_DOP.n_stages + 1]
-    k_t = [k[:s].T for s in range(1, _DOP.n_stages)]
-    k_ext_t = [k_ext[:s].T for s in range(_DOP.n_stages + 1,
+    k_ext = np.zeros((dop.A_EXTRA.shape[1], n), dtype=complex)
+    k = k_ext[:dop.n_stages + 1]
+    k_t = [k[:s].T for s in range(1, dop.n_stages)]
+    k_ext_t = [k_ext[:s].T for s in range(dop.n_stages + 1,
                                           k_ext.shape[0])]
 
     f = np.zeros(n, dtype=complex)
@@ -182,15 +189,15 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
                     "size is less than spacing between numbers")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            ops = evaluate(t + _STAGE_C * h)
+            ops = evaluate(t + stage_c * h)
             k[0] = f
             k[1:] = 0.0
-            for s, (kt, a, op) in enumerate(zip(k_t, _STAGE_A, ops), 1):
+            for s, (kt, a, op) in enumerate(zip(k_t, stage_a, ops), 1):
                 apply(op, y + np.dot(kt, a) * h, k[s])
-            y_new = y + h * np.dot(k[:-1].T, _DOP.B)
+            y_new = y + h * np.dot(k[:-1].T, dop.B)
             apply(ops[-1], y_new, k[-1])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = _error_norm(k, h, scale)
+            error = _error_norm(k, h, scale, dop)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else min(
                     _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
@@ -205,17 +212,17 @@ def _integrate(generator, state, t0, t1, tol, max_step, atol=None,
         t_step = t_eval[i_eval:i_new]
         if t_step.size > 0:
             # scipy's Dop853DenseOutput over the step just taken
-            ops = evaluate(t_old + _DOP.C_EXTRA * h)
-            k_ext[_DOP.n_stages + 1:] = 0.0
-            for s, (kt, a, op) in enumerate(zip(k_ext_t, _EXTRA_A, ops),
-                                            _DOP.n_stages + 1):
+            ops = evaluate(t_old + dop.C_EXTRA * h)
+            k_ext[dop.n_stages + 1:] = 0.0
+            for s, (kt, a, op) in enumerate(zip(k_ext_t, extra_a, ops),
+                                            dop.n_stages + 1):
                 apply(op, y_old + np.dot(kt, a) * h, k_ext[s])
-            poly = np.empty((3 + len(_DOP.D), n), dtype=complex)
+            poly = np.empty((3 + len(dop.D), n), dtype=complex)
             f_old, delta_y = k_ext[0], y - y_old
             poly[0] = delta_y
             poly[1] = h * f_old - delta_y
             poly[2] = 2 * delta_y - h * (f + f_old)
-            poly[3:] = h * np.dot(_DOP.D, k_ext)
+            poly[3:] = h * np.dot(dop.D, k_ext)
             x = ((t_step - t_old) / (t - t_old))[:, None]
             ys = np.zeros((len(x), n), dtype=complex)
             for i, p in enumerate(reversed(poly)):
@@ -403,6 +410,7 @@ class PulseGenerator:
     operator."""
 
     def __init__(self, h: CompiledHamiltonian, t_a=None):
+        import scipy.sparse as sp
         n_blocks, nnz = h.static.shape[0], h.data.shape[1]
         shift = np.arange(n_blocks)[:, None]
         pattern = sp.csr_matrix(
@@ -438,6 +446,7 @@ class PulseGenerator:
         return np.dot(rows, h.data).reshape(len(ts), -1)
 
     def __call__(self, t):
+        import scipy.sparse as sp
         return sp.csr_matrix((self.data((t,))[0], self.indices, self.indptr),
                              shape=(self.dim,) * 2)
 

@@ -13,7 +13,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 # sigma_z|1> = +|1> with basis order (|0>, |1>)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -148,19 +147,13 @@ def equal_temperature_ensemble(nbar_com: float, frequencies,
     return ThermalEnsemble(tuple(nb), tuple(cutoffs))
 
 
-def _kron_all(mats) -> sp.csr_matrix:
-    out = None
-    for m in mats:
-        out = m if out is None else sp.kron(out, m, format="csr")
-    return out.tocsr()
-
-
-def embed(op, target, space: SpaceSpec) -> sp.csr_matrix:
+def embed(op, target, space: SpaceSpec):
     """Lift a single-factor operator to the composite space.
 
-    target: ("qubit", k) or ("mode", m). Sparse output; identity on every
-    other factor.
+    target: ("qubit", k) or ("mode", m). Sparse (CSR) output; identity on
+    every other factor.
     """
+    import scipy.sparse as sp  # only the tests' literal Hamiltonian embeds
     kind, idx = target
     op = sp.csr_matrix(op)
     mats = []
@@ -183,5 +176,8 @@ def embed(op, target, space: SpaceSpec) -> sp.csr_matrix:
             mats.append(op if m == idx else sp.identity(d, format="csr"))
     else:
         raise ValueError("target kind must be 'qubit' or 'mode'")
-    return _kron_all(mats)
+    out = mats[0]
+    for m in mats[1:]:
+        out = sp.kron(out, m, format="csr")
+    return out.tocsr()
 

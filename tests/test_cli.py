@@ -1,7 +1,8 @@
 """Command-line interface tests.
 
 Every test drives cli.main in process so exit codes, emitted files, and
-monkeypatched failures are all observable without spawning subprocesses.
+monkeypatched failures are all observable without spawning subprocesses;
+only the import check (TestImports) needs a fresh interpreter.
 """
 
 import csv
@@ -9,6 +10,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -678,3 +681,43 @@ class TestNumericalFailure:
         assert rc == 3
         err = capsys.readouterr().err
         assert "|00>" in err and "stepper exploded" in err
+
+
+# argv: the commands (JSON), the ode config, the output root; the last
+# line printed is [scipy modules loaded by the commands, ode gate's code]
+_IMPORT_PROBE = """
+import json, sys
+from tweezergate import cli
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    assert cli.main(argv + ["--out-dir", f"{sys.argv[3]}/{i}"]) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+rc = cli.main(["gate", "--config", sys.argv[2],
+               "--out-dir", f"{sys.argv[3]}/ode"])
+print(json.dumps([loaded, rc]))
+"""
+
+
+class TestImports:
+    def test_closed_form_commands_never_import_scipy(self, tmp_path):
+        # scipy loads with the ode backend alone: every closed-form command
+        # runs in one fresh interpreter without importing it, and an ode
+        # gate (the tests' fast gate) then imports it and succeeds
+        fock = write_doc(tmp_path, fig2_doc(backend="fock"), "fock.json")
+        ode = write_doc(tmp_path, fig2_doc(
+            backend="ode", detuning_hz=-2.0e4,
+            field_amplitude_v_per_m=20 * 2.69e-4, mode_cutoffs=[4]),
+            "ode.json")
+        runs = [["gate", "--config", "fig2"], ["gate", "--config", fock],
+                ["table4", "--config", "table1", "--jobs", "1"],
+                ["phasespace", "--config", "fig2"],
+                ["modes", "--config", "table1"],
+                ["sweep", "--config", "fig3_twomode", "--jobs", "1"]]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), ode,
+             str(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0]
+        assert (tmp_path / "ode" / "gate_report.json").exists()

@@ -339,3 +339,11 @@ class TestTypes:
         # 171 amu at 2 pi x 1 MHz: a few microns
         l = coulomb_length(trap(2))
         assert 1e-6 < l < 1e-5
+
+    def test_physical_constants_are_scipys(self):
+        # bit for bit: e and hbar are exact in the SI, eps0 is CODATA 2022
+        # (a scipy on CODATA 2018 reads 8.8541878128e-12 and fails here)
+        assert crystal.ELEMENTARY_CHARGE == const.elementary_charge
+        assert crystal.EPSILON_0 == const.epsilon_0
+        assert crystal.HBAR == const.hbar
+        assert TrapSpec(2, M_ION, W).charge == const.elementary_charge

@@ -137,6 +137,8 @@ def segment_pieces_ref(setup, k_mat, t_a):
 
 
 def config_generators_ref(setup, si, sj):
+    """[(v, phase, scale)] per driven segment; scale bounds the rounding
+    error of phase, a sum of double-moment terms (double_moment_ref)."""
     path = _exact.path_of(si, sj, setup.echo_schedule)
     gens = []
     t_map = None
@@ -147,12 +149,14 @@ def config_generators_ref(setup, si, sj):
                                                       p * setup.tau):
                 v = np.array([sum(b * int0_ref(th, t1, t2) for b, th in c)
                               for c in ca + cad])
-                phase = 0.0
+                phase = scale = 0.0
                 for a, ad in zip(ca, cad):
-                    jkl, _ = double_moment_ref(a, ad, t1, t2)
-                    jlk, _ = double_moment_ref(ad, a, t1, t2)
+                    jkl, skl = double_moment_ref(a, ad, t1, t2)
+                    jlk, slk = double_moment_ref(ad, a, t1, t2)
                     phase += np.real(-0.5j * (jkl - jlk))
-                gens.append((v if t_map is None else t_map.T @ v, phase))
+                    scale += 0.5 * (skl + slk)
+                gens.append((v if t_map is None else t_map.T @ v, phase,
+                             scale))
         if p < len(path) - 1:
             s_p = static_heisenberg_map_ref(setup.ws, k_mat, setup.tau,
                                             p * setup.tau,
@@ -361,7 +365,7 @@ def gaussian_u_rel_ref(gens, n_modes):
     """Displacement product e^{i phase} D(alpha), one factor at a time."""
     alpha = np.zeros(n_modes, dtype=complex)
     phase = 0.0
-    for v, ph in gens:
+    for v, ph, _ in gens:
         beta = -1j * v[n_modes:]
         phase += -ph + float(np.sum(np.imag(beta * np.conj(alpha))))
         alpha = alpha + beta
@@ -409,15 +413,15 @@ def test_generators_match_scalar_reference_fig2():
                               _exact.config_generators(setup)):
         ref = config_generators_ref(setup, si, sj)
         assert len(gens) == len(ref)
-        for (v, ph), (v_ref, ph_ref) in zip(gens, ref):
+        for (v, ph), (v_ref, ph_ref, _) in zip(gens, ref):
             np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-15)
             assert ph == pytest.approx(ph_ref, rel=1e-12, abs=1e-15)
 
 
 def random_setup(n, data, ratio, detuning_khz, ramp, mask):
     """Setup of an n-mode crystal (all modes retained) with a random
-    ordered pair."""
-    pair = (0, 1) if n == 1 else tuple(data.draw(
+    ordered pair, or the pair (0, 1) where data is None."""
+    pair = (0, 1) if n == 1 or data is None else tuple(data.draw(
         st.permutations(range(n)))[:2])
     trap = crystal.TrapSpec(max(n, 2), calibrate.YB171_MASS_KG,
                             calibrate.DEFAULT_COM_FREQUENCY)
@@ -438,20 +442,26 @@ def random_setup(n, data, ratio, detuning_khz, ramp, mask):
                              (True, False, False, False),
                              (False, False, False, True))),
        c=st.integers(0, 3))
+# phase 2.9e-4 summed from terms of about 42: the two sides differ by
+# 5.2e-12 of the phase, 3.6e-17 of its scale
+@example(n=3, data=None, ratio=0.08447105016088878, detuning_khz=-2.375,
+         ramp=0.0, mask=(True, False, False, True), c=0)
 def test_batched_generators_match_scalar_reference(n, data, ratio,
                                                    detuning_khz, ramp, mask,
                                                    c):
     # the one batched pass over all four configurations equals the scalar
     # reference of configuration c (drawn: the reference costs seconds per
-    # configuration at n = 6), and a pass over c alone gives the same
+    # configuration at n = 6), and a pass over c alone gives the same. The
+    # phase is a difference of double moments, so it agrees relative to
+    # their scale, not to itself (see intj_scale)
     setup = random_setup(n, data, ratio, detuning_khz, ramp, mask)
     gens = _exact.config_generators(setup)
     assert len(gens) == 4
     ref = config_generators_ref(setup, *_exact.CONFIG_S[c])
     assert len(gens[c]) == len(ref) == (3 if ramp else 1) * sum(mask)
-    for (v, ph), (v_ref, ph_ref) in zip(gens[c], ref):
+    for (v, ph), (v_ref, ph_ref, scale) in zip(gens[c], ref):
         np.testing.assert_allclose(v, v_ref, rtol=1e-12, atol=1e-15)
-        assert ph == pytest.approx(ph_ref, rel=1e-12, abs=1e-15)
+        assert abs(ph - ph_ref) <= 1e-12 * scale + 1e-15
     alone = _exact.config_generators(setup, [_exact.CONFIG_S[c]])
     for (v, ph), (v_all, ph_all) in zip(alone[0], gens[c]):
         np.testing.assert_allclose(v, v_all, rtol=1e-14, atol=1e-18)
