@@ -8,11 +8,11 @@ five in field), so the rule emits a consistency warning quoting both
 numbers rather than silently preferring one.
 
 Sweeps and the pair table share one point runner: one fidelity report
-per (spec, value) task, deterministically and with per-point error
-carrying, optionally in a process pool, and with finished points cached
-on disk keyed by a canonical parameter hash so interrupted runs resume.
-The pair table reports one gate configuration at one pair of each
-chain-reflection class of any crystal.
+per gate point (config, thermal ensemble, backend) that the caller built,
+deterministically and with per-point error carrying, optionally in a
+process pool, and with finished points cached on disk keyed by a
+canonical parameter hash so interrupted runs resume.  The pair table
+reports one gate at one pair of each chain-reflection class of any crystal.
 """
 
 import atexit
@@ -204,31 +204,26 @@ def config_hash(config: drive.GateConfig, nbar, cutoffs,
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _point_inputs(spec: SweepSpec, value: float):
-    """Resolved (config, thermal ensemble) for one grid value."""
-    cfg = spec.config
-    nbar_com = spec.nbar_com
-    if spec.axis == "nbar":
-        nbar_com = value
-    else:
-        cfg = dataclasses.replace(cfg, **{spec.axis: value})
-    thermal = hilbert.equal_temperature_ensemble(
-        nbar_com, crystal.normal_modes(cfg.trap).frequencies[
-            :len(spec.cutoffs)], spec.cutoffs)
-    return cfg, thermal
+def thermal_ensemble(trap, nbar_com, cutoffs) -> hilbert.ThermalEnsemble:
+    """The first len(cutoffs) modes of trap's crystal, at the temperature
+    that gives the COM mode the occupation nbar_com."""
+    k, n = len(cutoffs), trap.n_ions
+    if not 1 <= k <= n:
+        raise ValueError(f"mode_cutoffs lists {k} modes, but the {n}-ion "
+                         f"crystal has {n}")
+    return hilbert.equal_temperature_ensemble(
+        nbar_com, crystal.normal_modes(trap).frequencies[:k], cutoffs)
 
 
-def _evaluate_point(spec: SweepSpec, value: float) -> dict:
-    cfg, thermal = _point_inputs(spec, value)
-    space = hilbert.SpaceSpec(2, spec.cutoffs)
-    rep = metric.fidelity_report(cfg, thermal, space, backend=spec.backend)
-    return rep.as_dict()
+def _evaluate_point(config, thermal, backend) -> dict:
+    return metric.fidelity_report(config, thermal, hilbert.SpaceSpec(
+        2, thermal.cutoffs), backend=backend).as_dict()
 
 
 def _point_worker(args):
-    idx, spec, value = args
+    idx, point = args
     try:
-        return idx, _evaluate_point(spec, value), None
+        return idx, _evaluate_point(*point), None
     except Exception as exc:
         return idx, None, f"{type(exc).__name__}: {exc}"
 
@@ -285,41 +280,35 @@ def _drop_pool():
         _pool = None
 
 
-def _run_points(tasks, jobs: int, cache_dir) -> list:
-    """One SweepPoint per (spec, value) task, in task order, as run_sweep
-    describes; the shared pool has min(jobs, uncached points) workers."""
+def _run_points(points, jobs: int, cache_dir) -> list:
+    """(report, error) per point, in order, run as run_sweep describes; a
+    point is (config, thermal, backend), or the error its inputs raised."""
     check_jobs(jobs)
-    points = [None] * len(tasks)
-    paths = {}  # uncached task index -> cache path, or None without a cache
-    for idx, (spec, value) in enumerate(tasks):
+    results = [None] * len(points)
+    paths = {}  # index of a point to run -> cache path, or None
+    for idx, point in enumerate(points):
+        if isinstance(point, str):
+            results[idx] = (None, point)
+            continue
         path = None
         if cache_dir is not None:
-            try:
-                cfg, thermal = _point_inputs(spec, value)
-                key = config_hash(cfg, thermal.nbar, spec.cutoffs,
-                                  spec.backend)
-            except Exception as exc:
-                points[idx] = SweepPoint(axis_value=value,
-                                         error=f"{type(exc).__name__}: {exc}")
-                continue
+            config, thermal, backend = point
+            key = config_hash(config, thermal.nbar, thermal.cutoffs, backend)
             path = os.path.join(cache_dir, key + ".json")
             report = _read_cached(path)
             if report is not None:
-                points[idx] = SweepPoint(axis_value=value, report=report)
+                results[idx] = (report, None)
                 continue
         paths[idx] = path
 
     def finish(idx, payload, err):
-        value = tasks[idx][1]
-        if payload is None:
-            points[idx] = SweepPoint(axis_value=value, error=err)
-            return
-        if paths[idx] is not None:
-            _write_cached(paths[idx], payload)
-        points[idx] = SweepPoint(
-            axis_value=value, report=metric.FidelityReport.from_dict(payload))
+        if payload is not None:
+            if paths[idx] is not None:
+                _write_cached(paths[idx], payload)
+            payload = metric.FidelityReport.from_dict(payload)
+        results[idx] = (payload, err)
 
-    pending = [(idx, *tasks[idx]) for idx in paths]
+    pending = [(idx, points[idx]) for idx in paths]
     if jobs > 1 and len(pending) > 1:
         pool = _shared_pool(min(jobs, len(pending)))
         try:
@@ -338,7 +327,19 @@ def _run_points(tasks, jobs: int, cache_dir) -> list:
     else:
         for args in pending:
             finish(*_point_worker(args))
-    return points
+    return results
+
+
+def _sweep_point(spec: SweepSpec, value: float):
+    """The gate point at one grid value, or the error its inputs raise."""
+    axis = {} if spec.axis == "nbar" else {spec.axis: value}
+    nbar_com = value if spec.axis == "nbar" else spec.nbar_com
+    try:
+        config = dataclasses.replace(spec.config, **axis)
+        return (config, thermal_ensemble(config.trap, nbar_com, spec.cutoffs),
+                spec.backend)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
@@ -350,8 +351,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, cache_dir=None) -> list:
     set, each point is stored as JSON keyed by its parameter hash as soon
     as it finishes, and later runs reuse it, so interrupted sweeps resume.
     """
-    return _run_points([(spec, value) for value in spec.grid], jobs,
-                       cache_dir)
+    points = [_sweep_point(spec, value) for value in spec.grid]
+    return [SweepPoint(value, *result) for value, result in
+            zip(spec.grid, _run_points(points, jobs, cache_dir))]
 
 
 def threshold_crossings(points, targets):
@@ -375,28 +377,26 @@ def pair_table(config: drive.GateConfig, cutoffs, nbar_com: float = 0.0,
     """The gate of config at every table_pairs pair of its crystal.
 
     Row p is fidelity_report(replace(config, pair=p)), the report `gate`
-    writes for that pair; config.pair is not read.  Labels are 1-based
-    chain positions, qubit 0 on the first listed ion: the ordered mirror
-    (n-1-i, n-1-j) of 0-based (i, j) gives the same row, (n-1-j, n-1-i)
-    does not.  The pairs run as run_sweep runs its points (pool, cache);
-    a pair that failed, or whose worker died, raises RuntimeError.
+    writes for that pair, over one thermal_ensemble; config.pair is not
+    read.  Labels are 1-based chain positions, qubit 0 on the first listed
+    ion: the ordered mirror (n-1-i, n-1-j) of 0-based (i, j) gives the same
+    row, (n-1-j, n-1-i) does not.  Pairs run as run_sweep's points do; a
+    pair that failed, or whose worker died, raises RuntimeError.
     """
-    specs = [SweepSpec(axis="tweezer_frequency",
-                       grid=(config.tweezer_frequency,),
-                       config=dataclasses.replace(config, pair=pair),
-                       cutoffs=cutoffs, nbar_com=nbar_com, backend=backend)
-             for pair in table_pairs(config.trap.n_ions)]
-    points = _run_points([(s, s.grid[0]) for s in specs], jobs, cache_dir)
+    thermal = thermal_ensemble(config.trap, nbar_com, cutoffs)
+    points = [(dataclasses.replace(config, pair=pair), thermal, backend)
+              for pair in table_pairs(config.trap.n_ions)]
     table = []
-    for spec, point in zip(specs, points):
-        label = tuple(k + 1 for k in spec.config.pair)
-        if not point.ok:
-            raise RuntimeError(f"pair {label} failed: {point.error}")
-        mu = point.report.parameters["drive_frequency_rad_s"]
+    for (cfg, *_), (report, error) in zip(
+            points, _run_points(points, jobs, cache_dir)):
+        label = tuple(k + 1 for k in cfg.pair)
+        if report is None:
+            raise RuntimeError(f"pair {label} failed: {error}")
+        mu = report.parameters["drive_frequency_rad_s"]
         table.append(PairStudy(
             pair=label, drive_frequency=mu,
             offset_hz=(config.trap.axial_frequency - mu) / (2.0 * math.pi),
-            fidelity=point.report.fidelity, report=point.report))
+            fidelity=report.fidelity, report=report))
     return table
 
 

@@ -154,10 +154,10 @@ def build_inputs(doc: dict) -> RunInputs:
     """Construct and validate the physics objects for a document."""
     d = resolve_document(doc)
     try:
-        n = int(d["n_ions"])
+        n = drive.whole_number("n_ions", d["n_ions"])
         trap = crystal.TrapSpec(n, d["ion_mass_amu"] * calibrate.AMU_KG,
                                 TWO_PI * d["axial_frequency_hz"])
-        pair = tuple(int(i) for i in d["pair"])
+        pair = tuple(drive.whole_number("pair entry", i) for i in d["pair"])
         if n == 1:
             pair0 = None  # modes-only crystal, no addressed pair
         else:
@@ -166,14 +166,11 @@ def build_inputs(doc: dict) -> RunInputs:
                 raise ValueError("pair must be two distinct 1-based ion "
                                  "positions")
             pair0 = (pair[0] - 1, pair[1] - 1)
-        cutoffs = tuple(int(c) for c in d["mode_cutoffs"])
-        if len(cutoffs) > n:
-            raise ValueError(f"mode_cutoffs lists {len(cutoffs)} modes, but "
-                             f"the {n}-ion crystal has {n}")
+        cutoffs = tuple(drive.whole_number("mode_cutoffs entry", c)
+                        for c in d["mode_cutoffs"])
+        thermal = calibrate.thermal_ensemble(trap, float(d["nbar_com"]),
+                                             cutoffs)
         space = hilbert.SpaceSpec(2, cutoffs)
-        thermal = hilbert.equal_temperature_ensemble(
-            float(d["nbar_com"]),
-            crystal.normal_modes(trap).frequencies[:len(cutoffs)], cutoffs)
         backend = d["backend"]
         metric.check_backend(backend, thermal)
         evolve.check_samples_per_pulse(d["samples_per_pulse"])

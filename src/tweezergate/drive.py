@@ -25,6 +25,14 @@ import numpy as np
 from . import crystal as _crystal
 
 
+def whole_number(name: str, value) -> int:
+    """value as an int; ValueError naming name unless it is a whole number
+    (2.0 is, 2.5 is not)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class GateConfig:
     """Four-pulse echo gate settings for one addressed ion pair.
@@ -50,11 +58,14 @@ class GateConfig:
     ramp_fraction: float = 0.016
 
     def __post_init__(self):
-        object.__setattr__(self, "pair", tuple(self.pair))
+        object.__setattr__(self, "pair", tuple(
+            whole_number("pair entry", i) for i in self.pair))
+        object.__setattr__(self, "pulse_count",
+                           whole_number("pulse_count", self.pulse_count))
         object.__setattr__(self, "field_on_mask", tuple(self.field_on_mask))
-        object.__setattr__(
-            self, "echo_schedule",
-            tuple(tuple(b) for b in self.echo_schedule))
+        object.__setattr__(self, "echo_schedule", tuple(
+            tuple(whole_number("echo_schedule entry", q) for q in b)
+            for b in self.echo_schedule))
         i, j = self.pair
         n = self.trap.n_ions
         if i == j or not (0 <= i < n and 0 <= j < n):

@@ -284,8 +284,7 @@ def _qubit_vector(qubit_state):
 
 def check_samples_per_pulse(samples_per_pulse):
     """Each pulse gets a whole number of trajectory samples, at least 200."""
-    if not float(samples_per_pulse).is_integer():
-        raise ValueError("samples_per_pulse must be a whole number")
+    drive.whole_number("samples_per_pulse", samples_per_pulse)
     if samples_per_pulse < 200:
         raise ValueError("samples_per_pulse must be >= 200")
 

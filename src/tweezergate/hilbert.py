@@ -14,9 +14,6 @@ import math
 
 import numpy as np
 
-# sigma_z|1> = +|1> with basis order (|0>, |1>)
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 @dataclasses.dataclass(frozen=True)
 class SpaceSpec:

@@ -9,7 +9,7 @@ are checked against; the package itself never materializes it.
 import numpy as np
 import scipy.sparse as sp
 
-from oracles import ladder_operators
+from oracles import SIGMA_Z, ladder_operators
 from tweezergate import crystal, hilbert
 
 
@@ -50,9 +50,9 @@ def tweezer_hamiltonian(modes: crystal.CrystalModes, pair, tweezer_frequency,
     ladders = _mode_ladders(space)
     mode_dim = space.mode_dim
     # sigma_z on each addressed qubit, as diagonal 4x4 blocks
-    z_i = sp.kron(sp.csr_matrix(hilbert.SIGMA_Z), sp.identity(2),
+    z_i = sp.kron(sp.csr_matrix(SIGMA_Z), sp.identity(2),
                   format="csr")
-    z_j = sp.kron(sp.identity(2), sp.csr_matrix(hilbert.SIGMA_Z),
+    z_j = sp.kron(sp.identity(2), sp.csr_matrix(SIGMA_Z),
                   format="csr")
     coef = {}
     for ion, zop in ((i, z_i), (j, z_j)):

@@ -14,7 +14,9 @@ from tweezergate import evolve, hilbert, metric
 _PAULI_ORDER = ("1", "x", "y", "z")
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_1 = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, hilbert.SIGMA_Z)
+# sigma_z|1> = +|1> with basis order (|0>, |1>)
+SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+_SIGMA_1 = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def ladder_operators(cutoff: int):
@@ -106,8 +108,8 @@ def propagator(hamiltonian, dim, t0, t1, tol=1e-9, max_step=np.inf):
 
 
 def paulis16():
-    """The 16 two-qubit Pauli operators in lexicographic order, with
-    hilbert's sigma_z convention."""
+    """The 16 two-qubit Pauli operators in lexicographic order, with the
+    package's sigma_z convention (SIGMA_Z)."""
     return np.array([np.kron(a, b) for a in _SIGMA_1 for b in _SIGMA_1])
 
 

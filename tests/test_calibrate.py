@@ -306,15 +306,25 @@ class TestRunSweep:
                          sort_keys=True)
         assert one == two
 
-    def test_errors_carried_per_point(self):
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "cache-dir"])
+    def test_errors_carried_per_point(self, tmp_path, cached):
+        # the middle point's inputs raise; with a cache only the two
+        # evaluated points are stored
         spec = calibrate.SweepSpec(axis="detuning",
                                    grid=(DELTA, 0.0, -DELTA),
                                    config=config(), cutoffs=(12,))
-        pts = calibrate.run_sweep(spec)
+        cache = tmp_path / "cache"
+        pts = calibrate.run_sweep(spec,
+                                  cache_dir=str(cache) if cached else None)
         assert pts[0].ok and pts[2].ok
         assert not pts[1].ok
         assert "detuning" in pts[1].error
         assert pts[1].report is None
+        if cached:
+            assert len(list(cache.iterdir())) == 2
+        else:
+            assert not cache.exists()
 
     def test_nbar_axis_orders_fidelity(self):
         spec = calibrate.SweepSpec(axis="nbar", grid=(0.0, 0.6, 1.0),
@@ -373,11 +383,11 @@ class TestRunSweep:
         real = calibrate._evaluate_point
         calls = []
 
-        def interrupt_third(spec_, value):
-            calls.append(value)
+        def interrupt_third(config_, thermal, backend):
+            calls.append(config_.tweezer_frequency)
             if len(calls) == 3:
                 raise KeyboardInterrupt
-            return real(spec_, value)
+            return real(config_, thermal, backend)
 
         monkeypatch.setattr(calibrate, "_evaluate_point", interrupt_third)
         with pytest.raises(KeyboardInterrupt):
@@ -385,9 +395,9 @@ class TestRunSweep:
         # the two finished points are stored, and nothing else
         assert len(list(cache.iterdir())) == 2
 
-        def counting(spec_, value):
-            calls.append(value)
-            return real(spec_, value)
+        def counting(config_, thermal, backend):
+            calls.append(config_.tweezer_frequency)
+            return real(config_, thermal, backend)
 
         calls.clear()
         monkeypatch.setattr(calibrate, "_evaluate_point", counting)
@@ -406,9 +416,9 @@ class TestRunSweep:
         real = calibrate._evaluate_point
         calls = []
 
-        def counting(spec_, value):
-            calls.append(value)
-            return real(spec_, value)
+        def counting(config_, thermal, backend):
+            calls.append(config_.tweezer_frequency)
+            return real(config_, thermal, backend)
 
         monkeypatch.setattr(calibrate, "_evaluate_point", counting)
         calibrate.run_sweep(spec, cache_dir=str(cache))
@@ -461,11 +471,11 @@ class TestRunSweep:
             config=config(), cutoffs=(10,))
         real = calibrate._evaluate_point
 
-        def crash_last(spec_, value):
-            if value == spec.grid[-1]:
+        def crash_last(config_, thermal, backend):
+            if config_.tweezer_frequency == spec.grid[-1]:
                 time.sleep(1.0)  # let the other points finish first
                 os._exit(1)
-            return real(spec_, value)
+            return real(config_, thermal, backend)
 
         monkeypatch.setattr(calibrate, "_evaluate_point", crash_last)
         cache = tmp_path / "cache"
@@ -484,6 +494,14 @@ class TestRunSweep:
                                    config=config(), cutoffs=(10,))
         with pytest.raises(ValueError, match="jobs"):
             calibrate.run_sweep(spec, jobs=0)
+        # too many or no retained modes: the point's inputs raise, and the
+        # point carries the error
+        for cutoffs in ((10, 10, 10), ()):
+            [pt] = calibrate.run_sweep(
+                dataclasses.replace(spec, cutoffs=cutoffs))
+            assert pt.error == (f"ValueError: mode_cutoffs lists "
+                                f"{len(cutoffs)} modes, but the 2-ion "
+                                f"crystal has 2")
 
     @pytest.mark.usefixtures("fresh_pool")
     def test_pool_no_larger_than_pending_points(self, tmp_path,
@@ -570,10 +588,10 @@ class TestSharedPool:
         spec = self.spec(0.18, 0.20, 0.22, 0.24)
         real = calibrate._evaluate_point
 
-        def crash_last(spec_, value):
-            if value == spec.grid[-1]:
+        def crash_last(config_, thermal, backend):
+            if config_.tweezer_frequency == spec.grid[-1]:
                 os._exit(1)
-            return real(spec_, value)
+            return real(config_, thermal, backend)
 
         monkeypatch.setattr(calibrate, "_evaluate_point", crash_last)
         sizes = record_pools(monkeypatch,
@@ -594,11 +612,11 @@ class TestSharedPool:
         log = tmp_path / "evaluated"
         real = calibrate._evaluate_point
 
-        def logged(spec_, value):
+        def logged(config_, thermal, backend):
             time.sleep(0.05)  # leave points queued when the interrupt comes
             with open(log, "a") as fh:
-                fh.write(f"{value!r}\n")
-            return real(spec_, value)
+                fh.write(f"{config_.tweezer_frequency!r}\n")
+            return real(config_, thermal, backend)
 
         def interrupt(path, payload):
             raise KeyboardInterrupt
@@ -745,10 +763,10 @@ class TestFourIonTable:
     def test_crashed_worker_names_the_pair(self, monkeypatch):
         real = calibrate._evaluate_point
 
-        def crash_first_pair(spec_, value):
-            if spec_.config.pair == (0, 1):
+        def crash_first_pair(config_, thermal, backend):
+            if config_.pair == (0, 1):
                 os._exit(1)
-            return real(spec_, value)
+            return real(config_, thermal, backend)
 
         monkeypatch.setattr(calibrate, "_evaluate_point", crash_first_pair)
         with pytest.raises(RuntimeError,
@@ -778,6 +796,12 @@ class TestFourIonTable:
             calibrate.four_ion_table(W_TW_TABLE, DELTA, jobs=0)
         with pytest.raises(ValueError, match="detuning"):
             calibrate.four_ion_table(W_TW_TABLE, 0.0)
+        # one ensemble for every row, checked before any pair runs
+        for cutoffs in ((14,) * 5, ()):
+            with pytest.raises(ValueError, match=(
+                    f"mode_cutoffs lists {len(cutoffs)} modes, but the "
+                    f"4-ion crystal has 4")):
+                calibrate.four_ion_table(W_TW_TABLE, DELTA, cutoffs=cutoffs)
         assert len(calibrate.four_ion_table(W_TW_TABLE, DELTA, trap=trap(2),
                                             cutoffs=(14,))) == 1
         assert len(calibrate.four_ion_table(W_TW_TABLE, DELTA,
@@ -844,6 +868,34 @@ class TestPairTable:
                 "drive_frequency_rad_s"]
             if mu is not None:
                 assert row.drive_frequency == mu
+
+
+    def test_row_and_sweep_point_share_a_cache_entry(self, tmp_path,
+                                                     monkeypatch):
+        # a cache entry is keyed by the gate point alone, whichever driver
+        # built it
+        cfg = config(trap=trap(3), tweezer_frequency=W_TW_TABLE)
+        cache = str(tmp_path / "cache")
+        table = calibrate.pair_table(cfg, (10, 6), nbar_com=0.3,
+                                     cache_dir=cache)
+        real = calibrate._evaluate_point
+        calls = []
+
+        def counting(config_, thermal, backend):
+            calls.append(config_.pair)
+            return real(config_, thermal, backend)
+
+        monkeypatch.setattr(calibrate, "_evaluate_point", counting)
+        for row in table:
+            at_pair = dataclasses.replace(
+                cfg, pair=(row.pair[0] - 1, row.pair[1] - 1))
+            spec = calibrate.SweepSpec(
+                axis="tweezer_frequency", grid=(W_TW_TABLE,),
+                config=at_pair, cutoffs=(10, 6), nbar_com=0.3)
+            [pt] = calibrate.run_sweep(spec, cache_dir=cache)
+            assert pt.report.as_dict() == row.report.as_dict()
+        assert calls == []
+        assert len(os.listdir(cache)) == len(table) == 2
 
 
 class TestParameterRecord:

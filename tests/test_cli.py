@@ -161,6 +161,9 @@ class TestBuildInputs:
     def test_more_cutoffs_than_modes_rejected(self):
         with pytest.raises(cli.ConfigError, match="the 2-ion crystal has 2"):
             cli.build_inputs(fig2_doc(mode_cutoffs=[4, 4, 4]))
+        with pytest.raises(cli.ConfigError, match="mode_cutoffs lists 0 "
+                                                  "modes, but the 2-ion"):
+            cli.build_inputs(fig2_doc(mode_cutoffs=[]))
 
     def test_few_samples_per_pulse_rejected(self):
         # evolve's own check, run before any command
@@ -168,15 +171,52 @@ class TestBuildInputs:
                            match="samples_per_pulse must be >= 200"):
             cli.build_inputs(fig2_doc(samples_per_pulse=199))
 
-    def test_fractional_samples_per_pulse_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, doc, name", [
         # a fractional count would bend phasespace's time grid
-        path = write_doc(tmp_path, fig2_doc(samples_per_pulse=250.5))
+        ("phasespace", fig2_doc(samples_per_pulse=250.5),
+         "samples_per_pulse"),
+        # counts and indices the CLI reads itself
+        ("gate", fig2_doc(n_ions=2.7), "n_ions"),
+        ("gate", fig2_doc(pair=[1, 2.9]), "pair entry"),
+        ("gate", fig2_doc(mode_cutoffs=[20.6]), "mode_cutoffs entry"),
+        # GateConfig's own fields, checked before any file
+        ("gate", fig2_doc(pulse_count=4.5), "pulse_count"),
+        ("gate", fig2_doc(echo_schedule=[[0, 1], [0.5], [1]]),
+         "echo_schedule entry"),
+        ("table4", dict(cli.load_document("table1"), pulse_count=4.5),
+         "pulse_count"),
+    ], ids=["samples_per_pulse", "n_ions", "pair", "mode_cutoffs",
+            "pulse_count", "echo_schedule", "table4_pulse_count"])
+    def test_fractional_count_exits_2(self, tmp_path, capsys, command, doc,
+                                      name):
+        path = write_doc(tmp_path, doc)
         out = tmp_path / "never"
-        rc = cli.main(["phasespace", "--config", path, "--out-dir", str(out)])
+        rc = cli.main([command, "--config", path, "--out-dir", str(out)])
         assert rc == 2
-        assert ("config error: samples_per_pulse must be a whole number"
+        assert (f"config error: {name} must be a whole number"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, preset, key", [
+        ("gate", "fig2", "report"), ("table4", "table1", "rows")])
+    def test_whole_floats_read_as_ints(self, tmp_path, command, preset,
+                                       key):
+        # 2.0 is the whole number 2 in the document's counts and indices
+        ints = cli.load_document(preset)
+        floats = dict(ints, n_ions=float(ints["n_ions"]),
+                      pair=[float(i) for i in ints["pair"]],
+                      mode_cutoffs=[float(c) for c in ints["mode_cutoffs"]],
+                      pulse_count=4.0,
+                      echo_schedule=[[0.0, 1.0], [0.0], [1.0]])
+        got = []
+        for name, doc in (("ints", ints), ("floats", floats)):
+            out = tmp_path / name
+            path = write_doc(tmp_path, doc, name + ".json")
+            assert cli.main([command, "--config", path,
+                             "--out-dir", str(out)]) == 0
+            name = "gate_report.json" if command == "gate" else "table4.json"
+            got.append(json.loads((out / name).read_text())[key])
+        assert got[0] == got[1]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(cli.ConfigError, match="backend"):

@@ -94,6 +94,24 @@ class TestGateConfig:
         with pytest.raises(ValueError):
             config(**bad)
 
+    def test_whole_number_fields(self):
+        # whole floats are stored as ints, so indexing and the parameter
+        # record work as for ints; fractional ones name their field
+        c = config(pair=(0.0, 1.0), pulse_count=4.0,
+                   echo_schedule=((0.0, 1.0), (0.0,), (1.0,)))
+        assert c == config()
+        assert all(type(i) is int for i in c.pair)
+        assert type(c.pulse_count) is int
+        assert all(type(q) is int for b in c.echo_schedule for q in b)
+        assert c.record() == config().record()
+        for bad, name in [(dict(pair=(0, 1.5)), "pair entry"),
+                          (dict(pulse_count=4.5), "pulse_count"),
+                          (dict(echo_schedule=((0, 1), (0.5,), (1,))),
+                           "echo_schedule entry")]:
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a whole number"):
+                config(**bad)
+
     @settings(max_examples=200, deadline=None)
     @given(schedule=st.lists(st.lists(st.sampled_from((0, 1)), max_size=3),
                              max_size=5))

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import (SIGMA_Y, ladder_operators, mode_number_diagonals,
-                     qubit_basis_state)
-from tweezergate import hilbert
+from oracles import (SIGMA_Y, SIGMA_Z, ladder_operators,
+                     mode_number_diagonals, qubit_basis_state)
 from tweezergate.hilbert import (
     SpaceSpec,
     ThermalEnsemble,
@@ -151,9 +150,9 @@ class TestEmbed:
     def test_sigma_z_first_qubit_sign_convention(self):
         # two-qubit block order |00>,|01>,|10>,|11> with sigma_z|1> = +|1>
         space = SpaceSpec(2, ())
-        z0 = embed(hilbert.SIGMA_Z, ("qubit", 0), space).toarray()
+        z0 = embed(SIGMA_Z, ("qubit", 0), space).toarray()
         np.testing.assert_allclose(z0, np.diag([-1, -1, 1, 1]).astype(complex))
-        z1 = embed(hilbert.SIGMA_Z, ("qubit", 1), space).toarray()
+        z1 = embed(SIGMA_Z, ("qubit", 1), space).toarray()
         np.testing.assert_allclose(z1, np.diag([-1, 1, -1, 1]).astype(complex))
 
     def test_identity_embeds_to_identity(self):
