@@ -5,16 +5,17 @@ splits into a static quadratic part H0 (bare phonons plus the
 spin-conditioned tweezer curvature) and a COM-mode drive. In the dressed
 frame of H0 the drive stays linear in the ladder operators with
 coefficients that are finite sums of complex exponentials, so the Magnus
-series terminates at second order: every envelope segment contributes one
-displacement factor exp(-i(v.a + conj(v).a^dag + phase)), with the moment
-integrals evaluated in closed form.  The phase is the second-order
-(commutator) Magnus term (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-(2009)); ladder operators of different dressed modes commute and the
-pieces of one branch of a mode cancel, so only the 6 x 6 opposite-branch
-piece pairs of each dressed mode contribute: O(N) double moments per
-segment, read from one exponential table. config_generators evaluates all
-four qubit configurations in one batched pass, over frames solved once
-per setup, with the static maps as matrix products over dressed modes.
+series terminates at second order: every segment of the pulse envelope
+(drive.envelope_pieces) contributes one displacement factor
+exp(-i(v.a + conj(v).a^dag + phase)), with the moment integrals evaluated
+in closed form. The phase is the second-order (commutator) Magnus term
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); ladder operators
+of different dressed modes commute and the pieces of one branch of a mode
+cancel, so only the 6 x 6 opposite-branch piece pairs of each dressed
+mode contribute: O(N) double moments per segment, read from one
+exponential table. config_generators evaluates all four qubit
+configurations in one batched pass, over frames solved once per setup,
+with the static maps as matrix products over dressed modes.
 
 The channel only needs the propagator relative to the field-free
 reference. Conjugating the late displacement factors through the
@@ -28,10 +29,11 @@ a + a^dag, so no eigendecomposition runs per call) summed against the
 per-mode thermal weights, at a cost of sum_m d_m and never prod_m d_m;
 plus an independent check, ode_wmat. It and run_gate(backend="ode") share
 one pulse walker, walk_pulses: only the driven pulses are integrated with
-the package's ODE solver (evolve.hamiltonian_terms, evolve._integrate),
-and field-free pulses are exact closed-form exponentials of the compiled
-static Hamiltonian. dense_wmat, with dense product-space propagators, is
-kept as the test oracle of column_wmat.
+the package's ODE solver (evolve.hamiltonian_terms, evolve._integrate)
+under the same envelope pieces, and field-free pulses are exact
+closed-form exponentials of the compiled static Hamiltonian. dense_wmat,
+with dense product-space propagators, is kept as the test oracle of
+column_wmat.
 """
 from __future__ import annotations
 
@@ -119,32 +121,6 @@ def double_moment(beta, theta, t1, t2):
     t2 = np.asarray(t2)[..., None, None]
     ij = int_j(th[..., :, None], th[..., None, :], t1, t2)
     return beta @ ij @ np.swapaxes(beta, -1, -2)
-
-
-# ---------------------------------------------------------------------------
-# envelope segmentation
-
-def envelope_pieces(t_a, tau, tr):
-    """Segments (t1, t2) of the pulses [t_a, t_a + tau], ramped up and down
-    over tr, and their envelopes as exp pieces (beta, theta), stacked
-    (..., segment, piece) after the axes of t_a; the flat envelope is
-    padded with zero pieces to the ramps' three, so segments stack."""
-    t_a = np.asarray(t_a, float)
-    te = t_a + tau
-    # a ramp within the resolution of tau is flat; (pi / tr)^2 may overflow
-    if tr <= np.finfo(float).eps * tau:
-        return (t_a[..., None], te[..., None], np.ones(t_a.shape + (1, 1)),
-                np.zeros((1, 1)))
-    k = np.pi / tr
-    times = np.concatenate(
-        [t[..., None] for t in (t_a, t_a + tr, te - tr, te)], axis=-1)
-    beta = np.zeros(t_a.shape + (3, 3), dtype=complex)
-    beta[..., 0] = (0.5, 1.0, 0.5)
-    # rise 1/2 - cos(k (t - t_a)) / 2, fall 1/2 - cos(k (te - t)) / 2
-    beta[..., ::2, 1] = -0.25 * np.exp(1j * k * times[..., ::3] * (-1, 1))
-    beta[..., ::2, 2] = beta[..., ::2, 1].conj()
-    return (times[..., :-1], times[..., 1:], beta,
-            np.array([[0.0, k, -k], [0.0, 0.0, 0.0], [0.0, -k, k]]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +302,8 @@ def pulse_segment_coefs(setup: SequenceSetup, dressed, t_a):
     beta_x, theta_x = xcom_pieces(setup.ws, wt, o)
     t_a = np.asarray(t_a, float)
     # ramps of at most tau / 4 leave every segment of positive length
-    t1, t2, beta_e, theta_e = envelope_pieces(t_a, setup.tau,
-                                              setup.ramp_time)
+    t1, t2, beta_e, theta_e = drive.envelope_pieces(t_a, setup.tau,
+                                                    setup.ramp_time)
     # times 2 gamma cos(mu t): each envelope piece splits into +mu and -mu
     beta_b = (beta_e * setup.gamma).repeat(2, axis=-1)
     theta_b = (theta_e[..., None] + np.array([setup.mu, -setup.mu])
@@ -688,8 +664,9 @@ def walk_pulses(setup: SequenceSetup, dims, cols, offsets, tol, atol=None):
         h_p = dataclasses.replace(h, static=h.static[
             [CONFIG_S.index(path[pulse]) for path in paths]])
         if pulse in setup.driven_pulses:
+            pieces = drive.envelope_pieces(t_a, setup.tau, setup.ramp_time)
             ys = _evolve._integrate(
-                h_p.generator(t_a), cols.reshape(-1, cols.shape[-1]), t_a,
+                h_p.generator(pieces), cols.reshape(-1, cols.shape[-1]), t_a,
                 t_a + setup.tau, tol, step, atol=atol,
                 t_eval=t_a + np.asarray(offsets, float))
             ys = ys.T.reshape((len(offsets),) + cols.shape)

@@ -142,7 +142,7 @@ class RunInputs:
         return calibrate.SweepSpec(
             axis=axis, grid=tuple(factor * float(v) for v in d["sweep_grid"]),
             config=self.gate_config(), cutoffs=self.space.mode_cutoffs,
-            nbar_com=d["nbar_com"], backend=self.backend,
+            nbar_com=self.thermal.nbar[0], backend=self.backend,
             targets=tuple(d["targets"]))
 
     def config_hash(self) -> str:
@@ -168,8 +168,10 @@ def build_inputs(doc: dict) -> RunInputs:
             pair0 = (pair[0] - 1, pair[1] - 1)
         cutoffs = tuple(drive.whole_number("mode_cutoffs entry", c)
                         for c in d["mode_cutoffs"])
-        thermal = calibrate.thermal_ensemble(trap, float(d["nbar_com"]),
-                                             cutoffs)
+        nbar = d["nbar_com"]
+        if isinstance(nbar, bool) or not isinstance(nbar, (int, float)):
+            raise ValueError(f"nbar_com must be a number, not {nbar!r}")
+        thermal = calibrate.thermal_ensemble(trap, float(nbar), cutoffs)
         space = hilbert.SpaceSpec(2, cutoffs)
         backend = d["backend"]
         metric.check_backend(backend, thermal)
@@ -312,7 +314,7 @@ def cmd_sweep(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
 def cmd_table4(inputs: RunInputs, out_dir: str, jobs: int, tol) -> list:
     table = calibrate.pair_table(
         inputs.gate_config(), inputs.space.mode_cutoffs,
-        nbar_com=inputs.doc["nbar_com"], backend=inputs.backend, jobs=jobs)
+        nbar_com=inputs.thermal.nbar[0], backend=inputs.backend, jobs=jobs)
     h = inputs.config_hash()
     rows = [[f"({st.pair[0]},{st.pair[1]})", _fmt(st.infidelity_x1e4),
              _fmt(st.offset_hz / 1e3)] for st in table]

@@ -63,6 +63,10 @@ class GateConfig:
         object.__setattr__(self, "pulse_count",
                            whole_number("pulse_count", self.pulse_count))
         object.__setattr__(self, "field_on_mask", tuple(self.field_on_mask))
+        if not all(isinstance(b, (bool, np.bool_))
+                   for b in self.field_on_mask):
+            raise ValueError("field_on_mask entries must be booleans, not "
+                             f"{list(self.field_on_mask)!r}")
         object.__setattr__(self, "echo_schedule", tuple(
             tuple(whole_number("echo_schedule entry", q) for q in b)
             for b in self.echo_schedule))
@@ -147,31 +151,50 @@ def gamma_from_field(field_amplitude: float, trap: _crystal.TrapSpec) -> float:
     return trap.charge * field_amplitude * l_com / (2.0 * hbar)
 
 
+def envelope_pieces(t_a, tau, tr):
+    """Segments (t1, t2) of the pulses [t_a, t_a + tau], ramped up and down
+    over tr, and their envelopes as exp pieces (beta, theta), stacked
+    (..., segment, piece) after the axes of t_a; the flat envelope is
+    padded with zero pieces to the ramps' three, so segments stack."""
+    t_a = np.asarray(t_a, float)
+    te = t_a + tau
+    # a ramp within the resolution of tau is flat; (pi / tr)^2 may overflow
+    if tr <= np.finfo(float).eps * tau:
+        return (t_a[..., None], te[..., None], np.ones(t_a.shape + (1, 1)),
+                np.zeros((1, 1)))
+    k = np.pi / tr
+    times = np.concatenate(
+        [t[..., None] for t in (t_a, t_a + tr, te - tr, te)], axis=-1)
+    beta = np.zeros(t_a.shape + (3, 3), dtype=complex)
+    beta[..., 0] = (0.5, 1.0, 0.5)
+    # rise 1/2 - cos(k (t - t_a)) / 2, fall 1/2 - cos(k (te - t)) / 2
+    beta[..., ::2, 1] = -0.25 * np.exp(1j * k * times[..., ::3] * (-1, 1))
+    beta[..., ::2, 2] = beta[..., ::2, 1].conj()
+    return (times[..., :-1], times[..., 1:], beta,
+            np.array([[0.0, k, -k], [0.0, 0.0, 0.0], [0.0, -k, k]]))
+
+
+def envelope_at(pieces, t):
+    """The envelope of one pulse, pieces = envelope_pieces of a scalar t_a,
+    at the times t (any shape): the pieces of the segment holding each
+    time, the flat top holding its ends, summed; 0 outside the pulse."""
+    t1, t2, beta, theta = pieces
+    t = np.asarray(t, float)
+    mid = len(t1) // 2  # the flat top
+    seg = np.clip(mid - (t < t1[mid]) + (t > t2[mid]), 0, len(t1) - 1)
+    env = (beta[seg] * np.exp(1j * theta[seg] * t[..., None])).sum(-1).real
+    return np.where((t1[0] <= t) & (t <= t2[-1]), env, 0.0)
+
+
 def envelope(t, pulse: int, config: GateConfig):
     """Field envelope within one pulse: sin^2 rise over ramp_fraction of the
-    pulse, flat top, mirrored fall. t is measured from the pulse start.
+    pulse, flat top, mirrored fall (envelope_pieces of the pulse starting at
+    0). t is measured from the pulse start; a scalar t gives a float.
     Returns 0 for pulses with the field off and outside [0, pulse_duration]."""
     tau = config.pulse_duration
-    if not config.field_on_mask[pulse]:
-        t = np.asarray(t, dtype=float)
-        return np.zeros_like(t) if t.ndim else 0.0
-    return ramp_envelope(t, tau, config.ramp_fraction * tau)
-
-
-def ramp_envelope(t, tau, ramp_time):
-    """sin^2 rise over ramp_time, flat top, mirrored fall, for a pulse
-    spanning [0, tau]; 0 outside it. A scalar t gives a float, an array
-    t an array of the same shape."""
-    if not isinstance(t, (int, float)):
-        t = np.asarray(t, dtype=float)
-        out = [ramp_envelope(float(s), tau, ramp_time) for s in t.ravel()]
-        return np.reshape(out, t.shape) if t.ndim else out[0]
-    edge = min(t, tau - t)  # time to the nearer pulse edge
-    if edge < 0.0:
-        return 0.0
-    if ramp_time == 0.0:
-        return 1.0
-    return math.sin(0.5 * math.pi * min(edge / ramp_time, 1.0)) ** 2
+    env = envelope_at(envelope_pieces(0.0, tau, config.ramp_fraction * tau), t)
+    env = env if config.field_on_mask[pulse] else np.zeros_like(env)
+    return env if env.ndim else float(env)
 
 
 def resolve_drive_frequency(config: GateConfig,

@@ -9,16 +9,17 @@ channel reconstruction uses); "ode" integrates the literal time-dependent
 Hamiltonian and returns the full interaction-picture state. The
 Hamiltonian is diagonal in the qubits, so the ODE state is the stack of
 the four qubit configurations' mode-space blocks, compiled into one
-block-diagonal generator (CompiledHamiltonian, PulseGenerator). Only the
-driven pulses are integrated; field-free pulses are exact closed-form
-exponentials of the compiled static Hamiltonian (_exact.walk_pulses,
-shared with the ODE channel). _integrate, the package's one ODE solver,
-is scipy's DOP853 written out for dY/dt = G(t) Y: the generators of all
-stage times of a step come from one evaluation and each stage applies
-its CSR data with scipy's compiled kernel. Only this backend uses scipy:
-the tableau (scipy.integrate.DOP853) is read on the first _integrate
-call and scipy.sparse, with its CSR kernel, is imported where the ODE
-operators are built, so the gaussian path never loads it.
+block-diagonal generator (CompiledHamiltonian, PulseGenerator) with the
+closed form's envelope, drive.envelope_pieces. Only the driven pulses are
+integrated; field-free pulses are exact closed-form exponentials of the
+compiled static Hamiltonian (_exact.walk_pulses, shared with the ODE
+channel). _integrate, the package's one ODE solver, is scipy's DOP853
+written out for dY/dt = G(t) Y: the generators of all stage times of a
+step come from one evaluation and each stage applies its CSR data with
+scipy's compiled kernel. Only this backend uses scipy: the tableau
+(scipy.integrate.DOP853) is read on the first _integrate call and
+scipy.sparse, with its CSR kernel, is imported where the ODE operators
+are built, so the gaussian path never loads it.
 """
 from __future__ import annotations
 
@@ -390,25 +391,24 @@ class CompiledHamiltonian:
     indptr: np.ndarray
     indices: np.ndarray
     dim: int
-    tau: float
-    ramp_time: float
 
-    def generator(self, t_a=None) -> PulseGenerator:
+    def generator(self, pieces=None) -> PulseGenerator:
         """The block-diagonal generator -i H(t) of all blocks, the
-        operator _integrate takes. The field follows the envelope of the
-        pulse starting at t_a; t_a None leaves it off."""
-        return PulseGenerator(self, t_a)
+        operator _integrate takes. The field follows the envelope of one
+        pulse, given as its drive.envelope_pieces; None leaves it off."""
+        return PulseGenerator(self, pieces)
 
 
 class PulseGenerator:
     """-i H(t) of a CompiledHamiltonian on the block-diagonal CSR pattern
-    of its blocks, with the field of the pulse starting at t_a (None: off).
+    of its blocks, with the field of the pulse whose envelope pieces
+    (drive.envelope_pieces of one pulse) are given (None: off).
 
     data(ts) gives the CSR data of every time in ts from one exp and one
     coefficient-matrix product; calling it with one time gives the
     operator."""
 
-    def __init__(self, h: CompiledHamiltonian, t_a=None):
+    def __init__(self, h: CompiledHamiltonian, pieces=None):
         import scipy.sparse as sp
         n_blocks, nnz = h.static.shape[0], h.data.shape[1]
         shift = np.arange(n_blocks)[:, None]
@@ -419,7 +419,7 @@ class PulseGenerator:
             shape=(n_blocks * h.dim,) * 2)
         self.dim = pattern.shape[0]
         self.indptr, self.indices = pattern.indptr, pattern.indices
-        self.h, self.t_a = h, t_a
+        self.h, self.pieces = h, pieces
         self.rates = 1j * h.freqs
         # -i folded into the amplitudes; the flat top's are kept
         self.static, self.field = -1j * h.static, -1j * h.field
@@ -427,22 +427,19 @@ class PulseGenerator:
 
     def data(self, ts):
         """CSR data rows (len(ts), nnz) of the generator at the times ts.
-        The envelope is evaluated only at times on a ramp."""
+        A step within the flat top takes its amplitudes; any other step
+        evaluates the envelope at all its times at once."""
         ts = np.asarray(ts, dtype=float)
-        h, t_a = self.h, self.t_a
-        phases = np.exp(self.rates * ts[:, None])
-        amp = self.static if t_a is None else self.flat_top
-        coef = amp * phases[:, None, :]  # (times, blocks, terms)
-        if t_a is not None:
-            # t - t_a is monotonic in t, so the extreme times decide
-            # whether any time lies on a ramp (or outside the pulse)
-            edge = min(ts.min() - t_a, h.tau - (ts.max() - t_a))
-            for i, s in enumerate(ts - t_a if edge < h.ramp_time else ()):
-                env = drive.ramp_envelope(s, h.tau, h.ramp_time)
-                if env != 1.0:
-                    coef[i] = (self.static + env * self.field) * phases[i]
-        rows = coef.reshape(len(ts) * len(amp), -1)
-        return np.dot(rows, h.data).reshape(len(ts), -1)
+        phases = np.exp(self.rates * ts[:, None])[:, None, :]
+        amp = self.static if self.pieces is None else self.flat_top
+        if self.pieces is not None:
+            t1, t2 = self.pieces[:2]
+            mid = len(t1) // 2  # the flat top
+            if not t1[mid] <= ts.min() <= ts.max() <= t2[mid]:
+                env = drive.envelope_at(self.pieces, ts)[:, None, None]
+                amp = self.static + env * self.field
+        rows = (amp * phases).reshape(len(ts) * len(self.static), -1)
+        return np.dot(rows, self.h.data).reshape(len(ts), -1)
 
     def __call__(self, t):
         import scipy.sparse as sp
@@ -493,8 +490,7 @@ def hamiltonian_terms(setup: _exact.SequenceSetup,
         field=np.array([t[2] for t in terms], dtype=float),
         data=data,
         indptr=np.searchsorted(union // dim, np.arange(dim + 1)),
-        indices=union % dim, dim=dim,
-        tau=setup.tau, ramp_time=setup.ramp_time)
+        indices=union % dim, dim=dim)
 
 
 def _run_ode(config, modes, qvec, mot, label, space, samples_per_pulse, tol):

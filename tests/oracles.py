@@ -1,11 +1,13 @@
 """Literal constructions the package never needs but the tests check it
 against: ladder operators and basis states on the composite space, the
-axial Hessian, the perturbative tweezer-shifted spectrum, a plain DOP853
-propagation of an explicit H(t), the two-qubit Pauli basis, and the
-channel in its general Pauli-image form: the images of a composite-space
-propagator by literal partial trace, the 16-term fidelity sum over them
-and their Choi matrix.
+axial Hessian, the perturbative tweezer-shifted spectrum, the sin^2 pulse
+envelope, a plain DOP853 propagation of an explicit H(t), the two-qubit
+Pauli basis, and the channel in its general Pauli-image form: the images
+of a composite-space propagator by literal partial trace, the 16-term
+fidelity sum over them and their Choi matrix.
 """
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -85,6 +87,17 @@ def perturbative_mode_frequencies(modes, pert) -> np.ndarray:
         raise ValueError(
             "anti-trapped mode %d: squared frequency %.3e" % (m, w2[m]))
     return np.sort(np.sqrt(w2))
+
+
+def ramp_envelope(t: float, tau: float, ramp_time: float) -> float:
+    """sin^2 rise over ramp_time, flat top, mirrored fall, for a pulse
+    spanning [0, tau]; 0 outside it."""
+    edge = min(t, tau - t)  # time to the nearer pulse edge
+    if edge < 0.0:
+        return 0.0
+    if ramp_time == 0.0:
+        return 1.0
+    return math.sin(0.5 * math.pi * min(edge / ramp_time, 1.0)) ** 2
 
 
 def propagate(hamiltonian, state, t0, t1, tol=1e-9, max_step=np.inf):

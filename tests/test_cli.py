@@ -319,6 +319,36 @@ class TestConfigErrors:
                 "qubit (3, 0)" in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gate", "phasespace", "sweep",
+                                         "table4"])
+    def test_non_boolean_field_on_mask_exits_2(self, tmp_path, capsys,
+                                               command):
+        # read by truthiness, "false" would switch the field on
+        doc = dict(cli.load_document("table1"), field_on_mask=["false"] * 4,
+                   backend="gaussian", sweep_axis="nbar", sweep_grid=[0.0])
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", write_doc(tmp_path, doc),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: field_on_mask entries must be booleans"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nbar", ["0.3", True, None])
+    @pytest.mark.parametrize("command", ["gate", "sweep", "table4"])
+    def test_nbar_com_must_be_a_number(self, tmp_path, capsys, command,
+                                       nbar):
+        doc = dict(cli.load_document("table1"), nbar_com=nbar,
+                   backend="gaussian", sweep_axis="tweezer_frequency_hz",
+                   sweep_grid=[2.5e5])
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", write_doc(tmp_path, doc),
+                       "--out-dir", str(out)])
+        assert rc == 2
+        assert ("config error: nbar_com must be a number"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_physics_exits_2_for_gate(self, tmp_path, capsys):
         path = write_doc(tmp_path, fig2_doc(detuning_hz=0.0))
         rc = cli.main(["gate", "--config", path,

@@ -6,11 +6,10 @@ characteristic-polynomial roots for the small-N spectra.
 """
 import numpy as np
 import pytest
-import scipy.constants as const
 import scipy.optimize
 
 from oracles import axial_hessian, perturbative_mode_frequencies
-from tweezergate import crystal
+from tweezergate import calibrate, crystal
 from tweezergate.crystal import (
     CrystalModes,
     TrapSpec,
@@ -23,7 +22,7 @@ from tweezergate.crystal import (
 )
 
 W = 2 * np.pi * 1e6
-M_ION = 171.0 * const.atomic_mass
+M_ION = calibrate.YB171_MASS_KG
 
 
 def trap(n, w=W):
@@ -343,6 +342,8 @@ class TestTypes:
     def test_physical_constants_are_scipys(self):
         # bit for bit: e and hbar are exact in the SI, eps0 is CODATA 2022
         # (a scipy on CODATA 2018 reads 8.8541878128e-12 and fails here)
+        import scipy.constants as const
+
         assert crystal.ELEMENTARY_CHARGE == const.elementary_charge
         assert crystal.EPSILON_0 == const.epsilon_0
         assert crystal.HBAR == const.hbar

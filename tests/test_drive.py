@@ -4,24 +4,25 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.constants as const
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from literal_hamiltonian import field_hamiltonian, tweezer_hamiltonian
-from tweezergate import _exact, crystal, hilbert
+from oracles import ramp_envelope
+from tweezergate import calibrate, crystal, hilbert
 from tweezergate.drive import (
     GateConfig,
     effective_model,
     envelope,
+    envelope_at,
+    envelope_pieces,
     gamma_from_field,
     pair_com_shifts,
-    ramp_envelope,
     resolve_drive_frequency,
 )
 
 W = 2 * np.pi * 1e6
-M_ION = 171.0 * const.atomic_mass
+M_ION = calibrate.YB171_MASS_KG
 
 
 def trap(n=2):
@@ -88,11 +89,17 @@ class TestGateConfig:
         dict(tweezer_frequency=-1.0),
         dict(echo_schedule=((0, 1), (0,))),
         dict(field_on_mask=(True, False, False)),
+        dict(field_on_mask=("false",) * 4),
+        dict(field_on_mask=(1, 0, 0, 1)),
         dict(detuning=0.2 * W),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    def test_numpy_bool_mask_accepted(self):
+        c = config(field_on_mask=np.array([True, False, False, True]))
+        assert c.record() == config().record()
 
     def test_whole_number_fields(self):
         # whole floats are stored as ints, so indexing and the parameter
@@ -195,8 +202,8 @@ class TestEnvelope:
         # that overflow in the moments
         tau = config().pulse_duration
         for tr in (2.2e-16 * tau, 1e-300, 5e-324):
-            for got, want in zip(_exact.envelope_pieces(0.0, tau, tr),
-                                 _exact.envelope_pieces(0.0, tau, 0.0)):
+            for got, want in zip(envelope_pieces(0.0, tau, tr),
+                                 envelope_pieces(0.0, tau, 0.0)):
                 np.testing.assert_array_equal(got, want)
 
     def test_outside_pulse_is_zero(self):
@@ -210,23 +217,24 @@ class TestEnvelope:
            segment=st.integers(0, 2), where=st.floats(0.0, 1.0))
     def test_exp_pieces_match_ramp_envelope(self, tau, start, ramp, segment,
                                             where):
-        # the ODE's envelope (ramp_envelope) and the closed-form engine's
-        # (_exact.envelope_pieces: sum_p beta_p e^{i theta_p t} per
-        # segment) are one envelope. They differ by the rounding of the
-        # pieces' phases |theta| t = pi t / t_r: 40000 random draws stayed
-        # within 0.61 eps pi t / t_r. So the bound is 1e-12 plus 2 eps
-        # times that phase, which adds at most 4e-13 at the default ramp
-        # 0.016 and dominates only for ramps below about 1e-3.
+        # the one envelope, envelope_pieces (sum_p beta_p e^{i theta_p t}
+        # per segment) as envelope_at evaluates it for the ODE, against
+        # the literal sin^2 (oracles.ramp_envelope). They differ by the
+        # rounding of the pieces' phases |theta| t = pi t / t_r: 40000
+        # random draws stayed within 0.61 eps pi t / t_r. So the bound is
+        # 1e-12 plus 2 eps times that phase, which adds at most 4e-13 at
+        # the default ramp 0.016 and dominates only for ramps below 1e-3.
         t_a, tr = start * tau, ramp * tau
-        t1, t2, beta, theta = _exact.envelope_pieces(t_a, tau, tr)
+        pieces = envelope_pieces(t_a, tau, tr)
+        t1, t2, beta, theta = pieces
         k = min(segment, len(t1) - 1)
         t = t1[k] + where * (t2[k] - t1[k])
-        pieces = np.sum(beta[k] * np.exp(1j * theta[k] * t))
+        got = envelope_at(pieces, t)
         # the rounded pulse end can land an ulp past tau, where the flat
         # pulse's envelope steps to 0
         want = ramp_envelope(min(t - t_a, tau), tau, tr)
         phase = np.abs(theta[k]).max() * t
-        assert abs(pieces - want) <= 1e-12 + 2 * np.finfo(float).eps * phase
+        assert abs(got - want) <= 1e-12 + 2 * np.finfo(float).eps * phase
 
 
 class TestTweezerHamiltonian:

@@ -6,7 +6,6 @@ import pathlib
 
 import numpy as np
 import pytest
-import scipy.constants as const
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
@@ -19,12 +18,21 @@ from oracles import (
     propagate,
     propagator,
     qubit_basis_state,
+    ramp_envelope,
 )
-from tweezergate import _exact, crystal, drive, evolve, hilbert, metric
+from tweezergate import (
+    _exact,
+    calibrate,
+    crystal,
+    drive,
+    evolve,
+    hilbert,
+    metric,
+)
 from tweezergate.evolve import Trajectory, hamiltonian_terms, run_gate
 
 W = 2 * np.pi * 1e6
-M_ION = 171.0 * const.atomic_mass
+M_ION = calibrate.YB171_MASS_KG
 
 
 def trap(n=2):
@@ -44,6 +52,11 @@ def fast_config(**kw):
     base = dict(detuning=-2 * np.pi * 2e4, field_amplitude=20 * 2.69e-4)
     base.update(kw)
     return config(**base)
+
+
+def pulse_pieces(setup, t_a):
+    """drive.envelope_pieces of setup's pulse starting at t_a."""
+    return drive.envelope_pieces(t_a, setup.tau, setup.ramp_time)
 
 
 def random_h(dim, seed, rate=1e5):
@@ -160,7 +173,8 @@ class TestStepper:
         space = hilbert.SpaceSpec(2, (5,))
         setup = _exact.setup_from_config(cfg,
                                          evolve.retained_modes(cfg, space))
-        gen = hamiltonian_terms(setup, space.mode_dims).generator(0.0)
+        gen = hamiltonian_terms(setup, space.mode_dims).generator(
+            pulse_pieces(setup, 0.0))
         t1 = 0.25 * setup.tau  # the rising ramp and part of the flat top
         t_eval = np.array([0.01, 0.02, 0.1, 1.0]) * t1
         state = np.tile(np.eye(space.mode_dim)[:, :2], (4, 1))
@@ -264,7 +278,7 @@ class TestHamiltonianTerms:
         # the generator of a field pulse starting at t = 0 is the
         # literal H(t), which is block diagonal in the configurations
         d = self.space.mode_dim
-        gen = self.h.generator(0.0)
+        gen = self.h.generator(pulse_pieces(self.setup, 0.0))
         rng = np.random.default_rng(17)
         tau = self.cfg.pulse_duration
         for t in np.append(rng.uniform(0.0, tau, size=8), 0.005 * tau):
@@ -286,9 +300,32 @@ class TestHamiltonianTerms:
         # the envelope runs from the pulse start t_a
         env = float(drive.envelope(t - 3 * tau, 3, self.cfg))
         assert 0.0 < env < 1.0
-        h_on = 1j * self.h.generator(3 * tau)(t).toarray()
+        h_on = 1j * self.h.generator(pulse_pieces(self.setup, 3 * tau))(
+            t).toarray()
         np.testing.assert_allclose(h_on, self.literal(t, env), rtol=0,
                                    atol=1e-9 * np.abs(h_on).max())
+
+    @pytest.mark.parametrize("edge", ["rise", "rise_end", "fall"])
+    def test_stage_data_match_literal_envelope(self, edge):
+        # the twelve stage times of one step on a ramp against the
+        # per-time rows -i (static + env field) e^{i freqs t} data, env
+        # the literal sin^2 of oracles.ramp_envelope: a step across the
+        # rise's end, one ending exactly at t_a + t_r, one across the
+        # fall's start
+        tau, tr = self.setup.tau, self.setup.ramp_time
+        t_a, step = 3 * tau, 0.5 * tr
+        t_end = {"rise": t_a + tr + 0.3 * step, "rise_end": t_a + tr,
+                 "fall": t_a + tau - tr + 0.7 * step}[edge]
+        ts = t_end - (1.0 - evolve._tableau()[1]) * step
+        assert len(ts) == 12 and ts[-1] == t_end
+        got = self.h.generator(pulse_pieces(self.setup, t_a)).data(ts)
+        envs = [ramp_envelope(t - t_a, tau, tr) for t in ts]
+        assert any(0.0 < env < 1.0 for env in envs)
+        want = np.array([
+            (-1j * (self.h.static + env * self.h.field)
+             * np.exp(1j * self.h.freqs * t) @ self.h.data).ravel()
+            for t, env in zip(ts, envs)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_field_free_propagator_matches_expm(self):
         # the ODE backend's field-free reference, built from the compiled
@@ -328,8 +365,9 @@ class TestHamiltonianTerms:
         path = [(1, 1), (1, -1), (-1, -1), (-1, 1)]
         rows = [_exact.CONFIG_S.index(cfg) for cfg in path]
         got = dataclasses.replace(self.h, static=self.h.static[rows])
-        got = got.generator(0.0)(0.37e-3).toarray()
-        ref = self.h.generator(0.0)(0.37e-3).toarray()
+        pieces = pulse_pieces(self.setup, 0.0)
+        got = got.generator(pieces)(0.37e-3).toarray()
+        ref = self.h.generator(pieces)(0.37e-3).toarray()
         for c, cfg in enumerate(path):
             r = _exact.CONFIG_S.index(cfg)
             np.testing.assert_allclose(
@@ -355,7 +393,7 @@ class TestHamiltonianTerms:
         setup = _exact.setup_from_config(cfg, self.modes)
         h = hamiltonian_terms(setup, self.space.mode_dims)
         assert h.freqs.size == 0
-        assert h.generator(0.0)(1e-6).nnz == 0
+        assert h.generator(pulse_pieces(setup, 0.0))(1e-6).nnz == 0
 
 
 class TestRunGate:
